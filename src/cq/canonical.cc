@@ -1,81 +1,85 @@
 #include "cq/canonical.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 namespace fdc::cq {
 
 namespace {
 
-// Structural key of an atom under a partial variable renaming: variables not
-// yet renamed print as "?", so the key refines as the renaming grows.
-std::string AtomKey(const Atom& atom,
-                    const std::unordered_map<int, int>& renaming,
-                    const std::vector<bool>& is_distinguished) {
-  std::string key = std::to_string(atom.relation) + "(";
+// Appends the structural key of an atom under a partial variable renaming
+// (renaming[v] < 0 = not yet renamed): unrenamed variables print as "?", so
+// the key refines as the renaming grows.
+void AppendAtomKey(std::string* key, const Atom& atom,
+                   const std::vector<int>& renaming,
+                   const std::vector<bool>& is_distinguished) {
+  *key += std::to_string(atom.relation);
+  key->push_back('(');
   for (const Term& t : atom.terms) {
     if (t.is_const()) {
-      key += "'" + t.value() + "'";
+      AppendQuotedConstant(key, t.value());
     } else {
-      auto it = renaming.find(t.var());
-      const bool dist = t.var() < static_cast<int>(is_distinguished.size()) &&
-                        is_distinguished[t.var()];
-      if (it != renaming.end()) {
-        key += "v" + std::to_string(it->second);
+      const int renamed = renaming[t.var()];
+      if (renamed >= 0) {
+        key->push_back('v');
+        *key += std::to_string(renamed);
       } else {
-        key += "?";
+        key->push_back('?');
       }
-      key += dist ? "d" : "e";
+      key->push_back(is_distinguished[t.var()] ? 'd' : 'e');
     }
-    key += ",";
+    key->push_back(',');
   }
-  key += ")";
-  return key;
+  key->push_back(')');
+}
+
+std::vector<bool> DistinguishedMask(const ConjunctiveQuery& query) {
+  std::vector<bool> dist(static_cast<size_t>(query.MaxVarId() + 1), false);
+  for (int v : query.DistinguishedVars()) dist[v] = true;
+  return dist;
 }
 
 }  // namespace
 
 ConjunctiveQuery Canonicalize(const ConjunctiveQuery& query) {
-  std::vector<bool> dist(static_cast<size_t>(query.MaxVarId() + 1), false);
-  for (int v : query.DistinguishedVars()) dist[v] = true;
+  const std::vector<bool> dist = DistinguishedMask(query);
 
   // Greedy refinement: repeatedly pick the not-yet-placed atom with the
   // smallest key under the current renaming, then extend the renaming with
   // its unseen variables in position order.
   std::vector<bool> placed(query.atoms().size(), false);
-  std::unordered_map<int, int> renaming;
+  std::vector<int> renaming(static_cast<size_t>(query.MaxVarId() + 1), -1);
+  int next_var = 0;
+  auto rename = [&](const Term& t) {
+    if (t.is_var() && renaming[t.var()] < 0) renaming[t.var()] = next_var++;
+  };
   std::vector<int> order;
   order.reserve(query.atoms().size());
+  std::string key;
+  std::string best_key;
   for (size_t round = 0; round < query.atoms().size(); ++round) {
     int best = -1;
-    std::string best_key;
     for (size_t i = 0; i < query.atoms().size(); ++i) {
       if (placed[i]) continue;
-      std::string key = AtomKey(query.atoms()[i], renaming, dist);
+      key.clear();
+      AppendAtomKey(&key, query.atoms()[i], renaming, dist);
       if (best == -1 || key < best_key) {
         best = static_cast<int>(i);
-        best_key = std::move(key);
+        std::swap(best_key, key);
       }
     }
     placed[best] = true;
     order.push_back(best);
-    for (const Term& t : query.atoms()[best].terms) {
-      if (t.is_var()) {
-        renaming.try_emplace(t.var(), static_cast<int>(renaming.size()));
-      }
-    }
+    for (const Term& t : query.atoms()[best].terms) rename(t);
   }
   // Any head-only variables would be unsafe; Validate rejects them, but be
   // defensive and number them last.
-  for (const Term& t : query.head()) {
-    if (t.is_var()) {
-      renaming.try_emplace(t.var(), static_cast<int>(renaming.size()));
-    }
-  }
+  for (const Term& t : query.head()) rename(t);
 
   auto rename_term = [&](const Term& t) -> Term {
     if (t.is_const()) return t;
-    return Term::Var(renaming.at(t.var()));
+    return Term::Var(renaming[t.var()]);
   };
   std::vector<Atom> atoms;
   atoms.reserve(order.size());
@@ -90,7 +94,7 @@ ConjunctiveQuery Canonicalize(const ConjunctiveQuery& query) {
   // information for disclosure comparisons).
   std::vector<int> head_vars;
   for (const Term& t : query.head()) {
-    if (t.is_var()) head_vars.push_back(renaming.at(t.var()));
+    if (t.is_var()) head_vars.push_back(renaming[t.var()]);
   }
   std::sort(head_vars.begin(), head_vars.end());
   head_vars.erase(std::unique(head_vars.begin(), head_vars.end()),
@@ -101,18 +105,20 @@ ConjunctiveQuery Canonicalize(const ConjunctiveQuery& query) {
   return ConjunctiveQuery(query.name(), std::move(head), std::move(atoms));
 }
 
-std::string CanonicalKey(const ConjunctiveQuery& query) {
-  ConjunctiveQuery canon = Canonicalize(query);
-  std::vector<bool> dist(static_cast<size_t>(canon.MaxVarId() + 1), false);
-  for (int v : canon.DistinguishedVars()) dist[v] = true;
-  std::unordered_map<int, int> identity;
-  for (int v = 0; v <= canon.MaxVarId(); ++v) identity[v] = v;
+std::string CanonicalFormKey(const ConjunctiveQuery& canonical) {
+  const std::vector<bool> dist = DistinguishedMask(canonical);
+  std::vector<int> identity(static_cast<size_t>(canonical.MaxVarId() + 1));
+  std::iota(identity.begin(), identity.end(), 0);
   std::string key;
-  for (const Atom& a : canon.atoms()) {
-    key += AtomKey(a, identity, dist);
-    key += ";";
+  for (const Atom& a : canonical.atoms()) {
+    AppendAtomKey(&key, a, identity, dist);
+    key.push_back(';');
   }
   return key;
+}
+
+std::string CanonicalKey(const ConjunctiveQuery& query) {
+  return CanonicalFormKey(Canonicalize(query));
 }
 
 ConjunctiveQuery CompactVariables(const ConjunctiveQuery& query) {

@@ -21,7 +21,14 @@ ConjunctiveQuery Canonicalize(const ConjunctiveQuery& query);
 
 /// A stable text key of the canonical form; equal keys imply isomorphic
 /// queries for the shapes we generate (used for hashing and dedup).
+/// Constants print through AppendQuotedConstant, so distinct constant lists
+/// never share a key. Equal to CanonicalFormKey(Canonicalize(query)).
 std::string CanonicalKey(const ConjunctiveQuery& query);
+
+/// The key of a query already in canonical form (Canonicalize's output),
+/// without canonicalizing it again: callers that need both the canonical
+/// form and its key pay for one canonicalization.
+std::string CanonicalFormKey(const ConjunctiveQuery& canonical);
 
 /// Renames variables so they occupy dense ids 0..n-1 (first-occurrence
 /// order), without reordering atoms.

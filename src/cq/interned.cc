@@ -115,23 +115,51 @@ uint64_t QueryInterner::RawHash(const ConjunctiveQuery& query) {
 QueryInterner::QueryInterner()
     : uid_(g_next_interner_uid.fetch_add(1, std::memory_order_relaxed)) {}
 
+const InternedQuery* QueryInterner::FindRaw(const ConjunctiveQuery& query,
+                                            uint64_t raw_hash) const {
+  auto it = raw_buckets_.find(raw_hash);
+  if (it == raw_buckets_.end()) return nullptr;
+  for (const auto& [raw, id] : it->second) {
+    if (raw == query) return &queries_[id];
+  }
+  return nullptr;
+}
+
+const InternedQuery* QueryInterner::FindCanonical(
+    const std::string& key) const {
+  auto it = query_by_key_.find(key);
+  if (it == query_by_key_.end()) return nullptr;
+  return &queries_[it->second];
+}
+
 const InternedQuery* QueryInterner::TryIntern(const ConjunctiveQuery& query,
                                               size_t max_queries) {
-  // Level 1: exact raw form — no canonicalization on hit.
   const uint64_t raw_hash = HashRawQuery(query);
-  auto raw_it = raw_buckets_.find(raw_hash);
-  if (raw_it != raw_buckets_.end()) {
-    for (const auto& [raw, id] : raw_it->second) {
-      if (raw == query) {
-        ++stats_.query_hits;
-        ++stats_.raw_hits;
-        return &queries_[id];
-      }
-    }
+  if (const InternedQuery* hit = FindRaw(query, raw_hash)) {
+    ++stats_.query_hits;
+    ++stats_.raw_hits;
+    return hit;
+  }
+  ConjunctiveQuery canonical = Canonicalize(query);
+  std::string key = CanonicalFormKey(canonical);
+  return TryIntern(query, raw_hash, std::move(canonical), std::move(key),
+                   max_queries);
+}
+
+const InternedQuery* QueryInterner::TryIntern(const ConjunctiveQuery& query,
+                                              uint64_t raw_hash,
+                                              ConjunctiveQuery canonical,
+                                              std::string key,
+                                              size_t max_queries) {
+  // Level 1: exact raw form. Re-probed because another writer may have
+  // registered this form since the caller's own (lock-free) raw probe.
+  if (const InternedQuery* hit = FindRaw(query, raw_hash)) {
+    ++stats_.query_hits;
+    ++stats_.raw_hits;
+    return hit;
   }
 
   // Level 2: canonical form.
-  std::string key = CanonicalKey(query);
   int id;
   auto it = query_by_key_.find(key);
   if (it != query_by_key_.end()) {
@@ -143,17 +171,17 @@ const InternedQuery* QueryInterner::TryIntern(const ConjunctiveQuery& query,
     }
     ++stats_.query_misses;
     id = static_cast<int>(queries_.size());
-    queries_.push_back(InternedQuery(id, Canonicalize(query)));
+    queries_.push_back(InternedQuery(id, std::move(canonical)));
     approx_bytes_ += ApproxQueryBytes(queries_.back().query()) + key.size();
     query_by_key_.emplace(std::move(key), id);
     // Make the canonical form itself level-1 findable: a caller that
     // canonicalizes once up front (e.g. template registration) then probes
     // with the canonical object never pays CanonicalKey again.
-    const ConjunctiveQuery& canonical = queries_.back().query();
-    if (!(canonical == query) && raw_entries_ < kMaxRawEntries &&
+    const ConjunctiveQuery& stored = queries_.back().query();
+    if (!(stored == query) && raw_entries_ < kMaxRawEntries &&
         approx_bytes_ < kMaxApproxBytes) {
-      approx_bytes_ += ApproxQueryBytes(canonical);
-      raw_buckets_[HashRawQuery(canonical)].emplace_back(canonical, id);
+      approx_bytes_ += ApproxQueryBytes(stored);
+      raw_buckets_[HashRawQuery(stored)].emplace_back(stored, id);
       ++raw_entries_;
     }
   }
@@ -163,19 +191,6 @@ const InternedQuery* QueryInterner::TryIntern(const ConjunctiveQuery& query,
     ++raw_entries_;
   }
   return &queries_[id];
-}
-
-const InternedQuery* QueryInterner::Find(const ConjunctiveQuery& query) const {
-  const uint64_t raw_hash = HashRawQuery(query);
-  auto raw_it = raw_buckets_.find(raw_hash);
-  if (raw_it != raw_buckets_.end()) {
-    for (const auto& [raw, id] : raw_it->second) {
-      if (raw == query) return &queries_[id];
-    }
-  }
-  auto it = query_by_key_.find(CanonicalKey(query));
-  if (it == query_by_key_.end()) return nullptr;
-  return &queries_[it->second];
 }
 
 const InternedQuery& QueryInterner::Intern(const ConjunctiveQuery& query) {

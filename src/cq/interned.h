@@ -21,14 +21,14 @@
 //
 // Sharing contract: a QueryInterner is a plain mutable table — mutating
 // calls (Intern/TryIntern/InternPattern) require external synchronization,
-// and the const surface (Find/query/pattern/stats) is only safe concurrently
-// with other const calls. Two supported sharing shapes:
+// and the const surface (FindRaw/FindCanonical/query/pattern/stats) is only
+// safe concurrently with other const calls. Two supported sharing shapes:
 //   * frozen — build the interner single-threaded, then treat it as
 //     immutable; any number of threads may call the const surface without
 //     locks (engine::FrozenCatalog does exactly this);
-//   * guarded — wrap it in a reader/writer lock with Find under the shared
-//     side and TryIntern under the exclusive side (engine::ConcurrentLabeler
-//     does this for the dynamic overlay).
+//   * guarded — wrap it in a reader/writer lock with FindRaw/FindCanonical
+//     under the shared side and TryIntern under the exclusive side
+//     (engine::ConcurrentLabeler's locked overlay does this).
 // Use one interner per pipeline family (catalog/universe) either way.
 #pragma once
 
@@ -115,9 +115,9 @@ class QueryInterner {
   ///
   /// Two-level: a raw-equality table is probed first (apps re-issue
   /// byte-identical query templates, so the common hit costs one structural
-  /// hash — no canonicalization); only raw misses pay the canonical-key
-  /// computation. The raw table is capped at kMaxRawEntries distinct forms;
-  /// beyond that, new raw forms still intern correctly but are not added.
+  /// hash — no canonicalization); only raw misses canonicalize, once. The
+  /// raw table is capped at kMaxRawEntries distinct forms; beyond that, new
+  /// raw forms still intern correctly but are not added.
   const InternedQuery& Intern(const ConjunctiveQuery& query);
 
   /// Bounded variant for untrusted inputs: behaves like Intern, but when
@@ -133,12 +133,27 @@ class QueryInterner {
   const InternedQuery* TryIntern(const ConjunctiveQuery& query,
                                  size_t max_queries);
 
-  /// Read-only probe: the already-interned handle for `query` (up to
-  /// variable renaming and atom order), or nullptr if it was never
-  /// interned. Touches no table or counter, so concurrent Find calls on a
-  /// frozen interner are race-free; pays the canonical-key computation when
-  /// the raw form misses, exactly like TryIntern's hit path.
-  const InternedQuery* Find(const ConjunctiveQuery& query) const;
+  /// TryIntern for a caller that already missed its own raw-level probes
+  /// and computed the query's canonical form once: `raw_hash` is
+  /// RawHash(query), `canonical` is Canonicalize(query) and `key` is
+  /// CanonicalFormKey(canonical). Nothing is canonicalized again: the raw
+  /// level is re-probed (another writer may have registered the form
+  /// since), then the key, and a novel structure stores `canonical`.
+  const InternedQuery* TryIntern(const ConjunctiveQuery& query,
+                                 uint64_t raw_hash, ConjunctiveQuery canonical,
+                                 std::string key, size_t max_queries);
+
+  /// Read-only raw-level probe: the handle whose raw table holds a form
+  /// byte-identical to `query` (`raw_hash` = RawHash(query)), or nullptr.
+  /// Costs one hash lookup and no canonicalization. Touches no table or
+  /// counter, so concurrent calls on a frozen interner are race-free.
+  const InternedQuery* FindRaw(const ConjunctiveQuery& query,
+                               uint64_t raw_hash) const;
+
+  /// Read-only canonical-level probe by a precomputed CanonicalKey (or
+  /// CanonicalFormKey of the canonical form): the handle interned under it,
+  /// or nullptr. Same sharing rules as FindRaw.
+  const InternedQuery* FindCanonical(const std::string& key) const;
 
   /// Hash-conses a normalized single-atom view pattern into a dense id
   /// (independent id space from query ids).

@@ -69,8 +69,9 @@ struct AtomPattern {
   /// True iff some class is distinguished.
   bool HasDistinguished() const;
 
-  /// A stable text encoding, e.g. "R(#0d, #0d, 'x', #1e)"; used for hashing,
-  /// ordering and debug output.
+  /// A stable text encoding, e.g. "R3(#0d,#0d,'x',#1e)"; used for hashing,
+  /// ordering, dedup and debug output. Constants print through
+  /// AppendQuotedConstant, so distinct patterns never share a key.
   std::string Key() const;
 
   bool operator==(const AtomPattern& other) const {

@@ -58,6 +58,19 @@ class Term {
   std::string value_;
 };
 
+/// Appends `value` to a structural key as 'value', escaping ' and \ with a
+/// backslash, so a constant's extent is unambiguous and distinct term lists
+/// never print alike. Values without ' or \ print unescaped. Shared by
+/// CanonicalKey and AtomPattern::Key.
+inline void AppendQuotedConstant(std::string* out, const std::string& value) {
+  out->push_back('\'');
+  for (const char c : value) {
+    if (c == '\'' || c == '\\') out->push_back('\\');
+    out->push_back(c);
+  }
+  out->push_back('\'');
+}
+
 }  // namespace fdc::cq
 
 namespace std {

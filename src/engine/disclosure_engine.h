@@ -321,13 +321,19 @@ class DisclosureEngine {
   std::shared_ptr<const EngineSnapshot> snapshot_;
   std::atomic<const EngineSnapshot*> snapshot_ptr_{nullptr};
   uint64_t next_epoch_ = 2;  // guarded by snapshot_mu_; epoch 1 = ctor
-  std::atomic<uint64_t> accepted_{0};
+  // Cache-line isolation: the per-decision counters below (accepted_ /
+  // refused_, the shadow tallies, decisions_since_sweep_) are written by
+  // every caller thread, and the read-mostly fields every decision loads
+  // (snapshot_ptr_, shadow_enabled_, sweep_interval_) must not share a
+  // line with them. Each group starts a line of its own (alignas(64)), so
+  // a size change in a member above cannot create false sharing.
+  alignas(64) std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> refused_{0};
   // Shadow-policy state. The snapshot and name share snapshot_mu_ (shadow
   // epochs come from the same counter, so live and shadow epochs are
   // totally ordered); the flag is the request fast path — when false the
   // only shadow cost per decision is one relaxed-ish atomic load.
-  std::atomic<bool> shadow_enabled_{false};
+  alignas(64) std::atomic<bool> shadow_enabled_{false};
   std::shared_ptr<const EngineSnapshot> shadow_snapshot_;  // snapshot_mu_
   // EBR read path for the shadow snapshot, mirroring snapshot_ptr_
   // (nullptr = no shadow staged).
@@ -340,7 +346,7 @@ class DisclosureEngine {
   // Every shadow-evaluated decision lands in exactly one of these three;
   // Stats() derives `evaluated` as their sum so no separate total can
   // drift out of step in a concurrent snapshot.
-  std::atomic<uint64_t> shadow_agree_{0};
+  alignas(64) std::atomic<uint64_t> shadow_agree_{0};
   std::atomic<uint64_t> shadow_stricter_{0};
   std::atomic<uint64_t> shadow_looser_{0};
   std::shared_ptr<const EngineSnapshot> ShadowSnapshot() const {
@@ -355,8 +361,8 @@ class DisclosureEngine {
                       const std::vector<bool>& live);
   /// Auto-sweep cadence: the thread whose decision count crosses a
   /// multiple of principal_sweep_interval runs one sweep.
-  uint64_t sweep_interval_;
-  std::atomic<uint64_t> decisions_since_sweep_{0};
+  alignas(64) uint64_t sweep_interval_;
+  alignas(64) std::atomic<uint64_t> decisions_since_sweep_{0};
   void MaybeAutoSweep(uint64_t decisions);
 };
 

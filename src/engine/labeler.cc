@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -207,47 +208,90 @@ label::DisclosureLabel ConcurrentLabeler::ComputeLabelLocked(
   return label;
 }
 
+template <typename ChunkFind, typename InternerFind>
+bool ConcurrentLabeler::ProbeOverlay(ChunkFind&& chunk_find,
+                                     InternerFind&& interner_find,
+                                     label::DisclosureLabel* out) {
+  if (mode_ == epoch::ReclaimMode::kEbr) {
+    // No lock, no shared state mutation: the published chunk is immutable
+    // and cannot be freed while this guard pins the epoch.
+    epoch::Guard guard;
+    const OverlayChunk* chunk = chunk_.load(std::memory_order_acquire);
+    const label::DisclosureLabel* hit =
+        chunk != nullptr ? chunk_find(*chunk) : nullptr;
+    if (hit == nullptr) return false;
+    overlay_chunk_hits_.fetch_add(1, std::memory_order_relaxed);
+    overlay_hits_.fetch_add(1, std::memory_order_relaxed);
+    *out = *hit;
+    return true;
+  }
+  std::shared_lock<locks::CountedSharedMutex> lock(mu_);
+  overlay_reader_locks_.fetch_add(1, std::memory_order_relaxed);
+  const cq::InternedQuery* interned = interner_find();
+  if (interned == nullptr) return false;
+  auto it = label_by_query_.find(interned->id());
+  if (it == label_by_query_.end()) return false;
+  overlay_hits_.fetch_add(1, std::memory_order_relaxed);
+  *out = it->second;
+  return true;
+}
+
+bool ConcurrentLabeler::ProbeReadTiers(const cq::ConjunctiveQuery& query,
+                                       Probe* probe,
+                                       label::DisclosureLabel* out) {
+  // Raw levels first: a byte-identical repeat resolves with one structural
+  // hash and no canonicalization. The order cannot change a result — the
+  // overlay interns a structure only after the frozen tier missed it at
+  // both levels, so a raw form the overlay holds is never frozen.
+  probe->raw_hash = cq::QueryInterner::RawHash(query);
+  if (const label::DisclosureLabel* hit =
+          frozen_->FindRawLabel(query, probe->raw_hash)) {
+    frozen_hits_.fetch_add(1, std::memory_order_relaxed);
+    *out = *hit;
+    return true;
+  }
+  if (ProbeOverlay(
+          [&](const OverlayChunk& chunk) {
+            return chunk.FindRaw(probe->raw_hash, query);
+          },
+          [&] { return interner_.FindRaw(query, probe->raw_hash); }, out)) {
+    return true;
+  }
+
+  // Canonical levels: the query's one canonicalization, kept in `probe`
+  // for the writer pass.
+  probe->canonical = cq::Canonicalize(query);
+  probe->key = cq::CanonicalFormKey(probe->canonical);
+  canonicalizations_.fetch_add(1, std::memory_order_relaxed);
+  if (const label::DisclosureLabel* hit =
+          frozen_->FindCanonicalLabel(probe->key)) {
+    frozen_hits_.fetch_add(1, std::memory_order_relaxed);
+    *out = *hit;
+    return true;
+  }
+  const uint64_t key_hash = OverlayChunk::KeyHash(probe->key);
+  return ProbeOverlay(
+      [&](const OverlayChunk& chunk) {
+        return chunk.FindCanonical(key_hash, probe->key);
+      },
+      [&] { return interner_.FindCanonical(probe->key); }, out);
+}
+
+const cq::InternedQuery* ConcurrentLabeler::InternLocked(
+    const cq::ConjunctiveQuery& query, Probe* probe) {
+  return interner_.TryIntern(query, probe->raw_hash,
+                             std::move(probe->canonical),
+                             std::move(probe->key),
+                             options_.max_interned_queries);
+}
+
 label::DisclosureLabel ConcurrentLabeler::Label(
     const cq::ConjunctiveQuery& query) {
-  // Tier 1: frozen warmup table, no locks.
-  if (const label::DisclosureLabel* hit = frozen_->FindLabel(query)) {
-    frozen_hits_.fetch_add(1, std::memory_order_relaxed);
-    return *hit;
-  }
+  Probe probe;
+  label::DisclosureLabel label;
+  if (ProbeReadTiers(query, &probe, &label)) return label;
 
-  // Tier 2a: EBR mode probes the published chunk under an epoch guard (no
-  // lock, no shared state mutation); locked mode takes the shared (reader)
-  // side of the overlay lock, exactly the pre-EBR path.
-  if (mode_ == epoch::ReclaimMode::kEbr) {
-    epoch::Guard guard;
-    if (const OverlayChunk* chunk = chunk_.load(std::memory_order_acquire)) {
-      if (const label::DisclosureLabel* hit =
-              chunk->FindRaw(cq::QueryInterner::RawHash(query), query)) {
-        overlay_chunk_hits_.fetch_add(1, std::memory_order_relaxed);
-        overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-        return *hit;
-      }
-      const std::string key = cq::CanonicalKey(query);
-      if (const label::DisclosureLabel* hit =
-              chunk->FindCanonical(OverlayChunk::KeyHash(key), key)) {
-        overlay_chunk_hits_.fetch_add(1, std::memory_order_relaxed);
-        overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-        return *hit;
-      }
-    }
-  } else {
-    std::shared_lock<locks::CountedSharedMutex> lock(mu_);
-    overlay_reader_locks_.fetch_add(1, std::memory_order_relaxed);
-    if (const cq::InternedQuery* interned = interner_.Find(query)) {
-      auto it = label_by_query_.find(interned->id());
-      if (it != label_by_query_.end()) {
-        overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
-    }
-  }
-
-  // Tier 2b: label, intern, memoize. On the compiled path the label is
+  // Writer pass: label, intern, memoize. On the compiled path the label is
   // computed *before* the writer lock — LabelCompiled only reads frozen
   // state, so N threads labeling distinct novel structures (Dissect,
   // folding's hom searches, the net evaluations) proceed in parallel and
@@ -256,12 +300,11 @@ label::DisclosureLabel ConcurrentLabeler::Label(
   // stores the identical value. The ablated seed kernel mutates overlay
   // state (pattern interner + mask memo) and must stay fully locked.
   if (!options_.ablate_compiled_matcher) {
-    label::DisclosureLabel label = LabelCompiled(query);
+    label = LabelCompiled(query);
     std::unique_lock<locks::CountedSharedMutex> lock(mu_);
-    const cq::InternedQuery* interned =
-        interner_.TryIntern(query, options_.max_interned_queries);
+    const cq::InternedQuery* interned = InternLocked(query, &probe);
     if (interned == nullptr) {
-      // Tier 3: overlay saturated; the label is already stateless.
+      // Overlay saturated; the label is already stateless.
       lock.unlock();
       stateless_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       return label;
@@ -285,12 +328,11 @@ label::DisclosureLabel ConcurrentLabeler::Label(
 
   // Ablated (seed-kernel) path: exclusive intern + label. Double-check
   // under the writer lock: another thread may have labeled the same
-  // structure since we unlocked.
+  // structure since the read-side probes.
   std::unique_lock<locks::CountedSharedMutex> lock(mu_);
-  const cq::InternedQuery* interned =
-      interner_.TryIntern(query, options_.max_interned_queries);
+  const cq::InternedQuery* interned = InternLocked(query, &probe);
   if (interned == nullptr) {
-    // Tier 3: overlay saturated; pure stateless compute, no shared state.
+    // Overlay saturated; pure stateless compute, no shared state.
     lock.unlock();
     stateless_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     return stateless_.LabelPacked(query);
@@ -305,7 +347,7 @@ label::DisclosureLabel ConcurrentLabeler::Label(
   if (label_by_query_.size() >= options_.max_label_cache) {
     label_by_query_.clear();
   }
-  label::DisclosureLabel label = ComputeLabelLocked(interned->query());
+  label = ComputeLabelLocked(interned->query());
   label_by_query_.emplace(interned->id(), label);
   NotePublishPressureLocked();
   return label;
@@ -333,61 +375,23 @@ std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
     return out;
   }
 
+  // Read-side tiers per query, in Label's order; the misses keep their
+  // probe (raw hash + the one canonical form) for the writer passes.
   std::vector<label::DisclosureLabel> out(queries.size());
-
-  // Tier 1: frozen warmup table, no locks.
   std::vector<size_t> unresolved;
-  for (size_t k = 0; k < queries.size(); ++k) {
-    if (const label::DisclosureLabel* hit = frozen_->FindLabel(*queries[k])) {
-      frozen_hits_.fetch_add(1, std::memory_order_relaxed);
-      out[k] = *hit;
-    } else {
+  std::vector<Probe> probes;  // parallel to `unresolved`
+  {
+    // One epoch pin for the whole loop; the per-level guards nest in it.
+    std::optional<epoch::Guard> pin;
+    if (mode_ == epoch::ReclaimMode::kEbr) pin.emplace();
+    // One probe reused across the loop: ProbeReadTiers overwrites every
+    // field it later reads, so a moved-from probe needs no reset.
+    Probe probe;
+    for (size_t k = 0; k < queries.size(); ++k) {
+      if (ProbeReadTiers(*queries[k], &probe, &out[k])) continue;
       unresolved.push_back(k);
+      probes.push_back(std::move(probe));
     }
-  }
-  if (unresolved.empty()) return out;
-
-  // Tier 2a: EBR mode probes the published chunk for every miss under one
-  // epoch guard (no lock); locked mode keeps the pre-EBR single shared
-  // (reader) section.
-  if (mode_ == epoch::ReclaimMode::kEbr) {
-    epoch::Guard guard;
-    if (const OverlayChunk* chunk = chunk_.load(std::memory_order_acquire)) {
-      size_t kept = 0;
-      for (const size_t k : unresolved) {
-        const cq::ConjunctiveQuery& query = *queries[k];
-        const label::DisclosureLabel* hit =
-            chunk->FindRaw(cq::QueryInterner::RawHash(query), query);
-        if (hit == nullptr) {
-          const std::string key = cq::CanonicalKey(query);
-          hit = chunk->FindCanonical(OverlayChunk::KeyHash(key), key);
-        }
-        if (hit != nullptr) {
-          overlay_chunk_hits_.fetch_add(1, std::memory_order_relaxed);
-          overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-          out[k] = *hit;
-          continue;
-        }
-        unresolved[kept++] = k;
-      }
-      unresolved.resize(kept);
-    }
-  } else {
-    std::shared_lock<locks::CountedSharedMutex> lock(mu_);
-    overlay_reader_locks_.fetch_add(1, std::memory_order_relaxed);
-    size_t kept = 0;
-    for (const size_t k : unresolved) {
-      if (const cq::InternedQuery* interned = interner_.Find(*queries[k])) {
-        auto it = label_by_query_.find(interned->id());
-        if (it != label_by_query_.end()) {
-          overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-          out[k] = it->second;
-          continue;
-        }
-      }
-      unresolved[kept++] = k;
-    }
-    unresolved.resize(kept);
   }
   if (unresolved.empty()) return out;
 
@@ -404,8 +408,7 @@ std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
     std::unique_lock<locks::CountedSharedMutex> lock(mu_);
     for (size_t u = 0; u < unresolved.size(); ++u) {
       const size_t k = unresolved[u];
-      const cq::InternedQuery* interned =
-          interner_.TryIntern(*queries[k], options_.max_interned_queries);
+      const cq::InternedQuery* interned = InternLocked(*queries[k], &probes[u]);
       if (interned == nullptr) {
         stateless_fallbacks_.fetch_add(1, std::memory_order_relaxed);
         slot_of[u] = static_cast<int32_t>(slot_id.size());
@@ -505,6 +508,8 @@ ConcurrentLabeler::Stats ConcurrentLabeler::stats() const {
       overlay_chunk_entries_.load(std::memory_order_relaxed);
   stats.overlay_reader_locks =
       overlay_reader_locks_.load(std::memory_order_relaxed);
+  stats.canonicalizations =
+      canonicalizations_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -2,37 +2,54 @@
 //
 // LabelingPipeline memoizes aggressively but is single-threaded by design;
 // duplicating one per serving thread duplicates exactly the state interning
-// exists to share. ConcurrentLabeler is the thread-safe replacement:
+// exists to share. ConcurrentLabeler is the thread-safe replacement. Labels
+// live in two tiers, each with a raw level (queries byte-identical to a
+// stored form, found by one structural hash) and a canonical level
+// (queries equal up to renaming and atom order, found by cq::CanonicalKey):
 //
-//   1. the FrozenCatalog warmup tier is probed first — an immutable
-//      interner + label table, read lock-free by any number of threads;
-//   2. misses fall into a *dynamic overlay*. Its read side depends on the
-//      reclaim mode (Options::reclaim / FDC_EPOCH):
-//        * kEbr (default): warm hits take NO lock. An immutable
-//          OverlayChunk — the overlay interner's raw and canonical tables
-//          plus their memoized labels, frozen into open-addressed arrays —
-//          is published through an epoch-protected atomic pointer and
-//          probed under an epoch::Guard. The chunk is rebuilt under the
-//          write mutex when enough novel structures accumulate
-//          (Options::overlay_min_publish + a live-size-proportional
-//          threshold, so rebuild work is amortized O(n)) and the old chunk
-//          is retired through epoch::Domain, never freed under a reader.
-//          Chunk misses (genuinely novel structures, or entries memoized
-//          since the last publish) take the exclusive write side to intern
-//          and label once. A stale chunk is always *correct* — labels are
-//          pure functions of the query — it just under-hits.
-//        * kLocked: the pre-EBR rwlock overlay, kept bit-identical as the
-//          property-test oracle — repeated structures resolve under the
-//          shared (reader) side via QueryInterner::Find; novel structures
-//          take the exclusive side.
-//      Per-atom ℓ+ masks come from the frozen tier's
-//      CompiledCatalogMatcher (one allocation-free pass per atom, read
-//      lock-free); the seed per-view kernel — pattern interning + the
-//      sharded rewriting::ContainmentCache — stays behind
-//      Options::ablate_compiled_matcher as the oracle;
-//   3. when the overlay interner saturates (principal-controlled input must
-//      not grow memory without bound), novel structures are labeled
-//      statelessly via the compiled matcher — a pure function, no locks.
+//   * the FrozenCatalog warmup tier — an immutable interner + label table,
+//     read lock-free by any number of threads;
+//   * a *dynamic overlay* of structures labeled since. Its read side
+//     depends on the reclaim mode (Options::reclaim / FDC_EPOCH):
+//       - kEbr (default): reads take NO lock. An immutable OverlayChunk —
+//         the overlay interner's raw and canonical tables plus their
+//         memoized labels, frozen into open-addressed arrays — is
+//         published through an epoch-protected atomic pointer and probed
+//         under an epoch::Guard. The chunk is rebuilt under the write mutex
+//         when enough novel structures accumulate
+//         (Options::overlay_min_publish + a live-size-proportional
+//         threshold, so rebuild work is amortized O(n)) and the old chunk
+//         is retired through epoch::Domain, never freed under a reader. A
+//         stale chunk is always *correct* — labels are pure functions of
+//         the query — it just under-hits.
+//       - kLocked: the pre-EBR rwlock overlay, kept as the property-test
+//         oracle — each level probes the overlay interner
+//         (QueryInterner::FindRaw / FindCanonical) and memo under the
+//         shared (reader) side.
+//
+// Probe order — raw levels first, then one canonical key:
+//
+//   1. frozen raw;
+//   2. overlay raw (chunk, or interner under the reader lock);
+//   3. cq::Canonicalize and cq::CanonicalFormKey, once;
+//   4. frozen canonical;
+//   5. overlay canonical;
+//   6. writer pass: label, then QueryInterner::TryIntern with step 3's
+//      canonical form and key under the exclusive side, and memoize.
+//
+// A byte-identical repeat of a frozen or published structure therefore
+// computes no canonical form, and a novel one computes exactly one
+// (Stats::canonicalizations). The order changes no result: the overlay
+// interns a structure only after the frozen tier missed it at both levels,
+// so no raw form the overlay holds can also be frozen.
+//
+// Per-atom ℓ+ masks come from the frozen tier's CompiledCatalogMatcher (one
+// allocation-free pass per atom, read lock-free); the seed per-view kernel
+// — pattern interning + the sharded rewriting::ContainmentCache — stays
+// behind Options::ablate_compiled_matcher as the oracle. When the overlay
+// interner saturates (principal-controlled input must not grow memory
+// without bound), novel structures are labeled statelessly via the
+// compiled matcher — a pure function, no locks.
 //
 // This saturation bound is the labeling-side twin of the principal map's
 // capacity/TTL lifecycle (engine/principal_map.h): both cap the only two
@@ -55,6 +72,7 @@
 #include <memory>
 #include <shared_mutex>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -131,6 +149,10 @@ class ConcurrentLabeler {
     // Reader-side (shared) acquisitions of the overlay lock — the bench
     // counter proving the wait-free read path: 0 in EBR mode.
     uint64_t overlay_reader_locks = 0;
+    // Queries canonicalized because both raw levels missed (at most once
+    // per query): byte-identical repeats of frozen or chunk-published
+    // structures cost none.
+    uint64_t canonicalizations = 0;
   };
 
   explicit ConcurrentLabeler(std::shared_ptr<const FrozenCatalog> frozen,
@@ -142,8 +164,8 @@ class ConcurrentLabeler {
 
   /// Labels a batch; each distinct novel structure is computed once. On the
   /// compiled path the batch's novel structures resolve through the
-  /// batch-structured frozen-tier kernel: one reader section probes the
-  /// overlay for every miss, a first writer section interns and dedupes,
+  /// batch-structured frozen-tier kernel: every query first goes through
+  /// Label's read-side tiers, a first writer section interns and dedupes,
   /// the heavy compute (Dissect + per-relation MatchMaskBatch buckets via
   /// label::LabelQueriesBatched) runs with no lock held, and a second
   /// writer section memoizes. `ablate_batch_kernel` (or the seed-kernel
@@ -178,6 +200,34 @@ class ConcurrentLabeler {
 
  private:
   struct OverlayChunk;
+
+  /// One query's trip through the tiers: its raw hash, and — once both raw
+  /// levels missed — its one canonical form and key, which the writer pass
+  /// hands to TryIntern instead of canonicalizing again.
+  struct Probe {
+    uint64_t raw_hash = 0;
+    cq::ConjunctiveQuery canonical;
+    std::string key;
+  };
+
+  /// The read-side tiers in their one order (see the file comment): frozen
+  /// raw, overlay raw, then Canonicalize once, frozen canonical, overlay
+  /// canonical. True with *out set on a hit; false leaves `probe` ready for
+  /// InternLocked. Shared by Label and LabelBatch.
+  bool ProbeReadTiers(const cq::ConjunctiveQuery& query, Probe* probe,
+                      label::DisclosureLabel* out);
+
+  /// One overlay level. kEbr: `chunk_find(chunk)` on the published chunk
+  /// under an epoch guard; kLocked: `interner_find()` plus the memo under
+  /// the shared side of mu_. Counts the hit.
+  template <typename ChunkFind, typename InternerFind>
+  bool ProbeOverlay(ChunkFind&& chunk_find, InternerFind&& interner_find,
+                    label::DisclosureLabel* out);
+
+  /// TryIntern with the probe's canonical form and key (consumed); mu_ held
+  /// exclusively.
+  const cq::InternedQuery* InternLocked(const cq::ConjunctiveQuery& query,
+                                        Probe* probe);
   /// Dissect + compiled-matcher evaluation: pure reads of frozen state plus
   /// relaxed counter bumps, safe from any thread with no locks held.
   label::DisclosureLabel LabelCompiled(const cq::ConjunctiveQuery& query);
@@ -201,11 +251,11 @@ class ConcurrentLabeler {
   std::unique_ptr<rewriting::ContainmentCache> cache_;
 
   // Dynamic overlay write side (and, in locked mode, the reader side):
-  // QueryInterner::Find + memo probes under shared_lock, interning and
-  // labeling of novel structures under unique_lock. In EBR mode readers
-  // never touch mu_ — they probe the published chunk below. The mutex type
-  // counts shared acquisitions so tests can assert the EBR warm path takes
-  // zero reader-side locks.
+  // QueryInterner::FindRaw/FindCanonical + memo probes under shared_lock,
+  // interning and labeling of novel structures under unique_lock. In EBR
+  // mode readers never touch mu_ — they probe the published chunk below.
+  // The mutex type counts shared acquisitions so tests can assert the EBR
+  // warm path takes zero reader-side locks.
   mutable locks::CountedSharedMutex mu_;
   cq::QueryInterner interner_;
   std::unordered_map<int, label::DisclosureLabel> label_by_query_;
@@ -219,7 +269,11 @@ class ConcurrentLabeler {
   size_t publish_pressure_ = 0;
   size_t published_entries_ = 0;
 
-  std::atomic<uint64_t> frozen_hits_{0};
+  // Per-call counters, bumped by every caller thread. They start a cache
+  // line of their own (and the alignment rounds the labeler's size to whole
+  // lines), so neither the read-mostly members above nor an owner's members
+  // after the labeler share a line with them, whatever the member sizes.
+  alignas(64) std::atomic<uint64_t> frozen_hits_{0};
   std::atomic<uint64_t> overlay_hits_{0};
   std::atomic<uint64_t> overlay_misses_{0};
   std::atomic<uint64_t> stateless_fallbacks_{0};
@@ -232,6 +286,7 @@ class ConcurrentLabeler {
   std::atomic<uint64_t> overlay_chunk_publishes_{0};
   std::atomic<uint64_t> overlay_chunk_entries_{0};
   std::atomic<uint64_t> overlay_reader_locks_{0};
+  std::atomic<uint64_t> canonicalizations_{0};
 };
 
 }  // namespace fdc::engine

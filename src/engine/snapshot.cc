@@ -16,9 +16,9 @@ std::shared_ptr<const FrozenCatalog> FrozenCatalog::Build(
 
   // Label the views' own defining queries and the warmup workload through
   // one LabelingPipeline sharing the frozen interner (so warmup query ids
-  // land in the id space FindLabel probes) and the compiled matcher (so
-  // build-time labels come from the exact artifact the serving tiers
-  // evaluate).
+  // land in the id space FindRawLabel/FindCanonicalLabel probe) and the
+  // compiled matcher (so build-time labels come from the exact artifact the
+  // serving tiers evaluate).
   label::LabelingPipeline pipeline(catalog, &frozen->interner_,
                                    /*cache=*/nullptr, dissect_options,
                                    /*options=*/{}, &frozen->matcher_);
@@ -78,13 +78,22 @@ std::shared_ptr<const FrozenCatalog> FrozenCatalog::Build(
   return frozen;
 }
 
-const label::DisclosureLabel* FrozenCatalog::FindLabel(
-    const cq::ConjunctiveQuery& query) const {
-  const cq::InternedQuery* interned = interner_.Find(query);
+const label::DisclosureLabel* FrozenCatalog::LabelOf(
+    const cq::InternedQuery* interned) const {
   if (interned == nullptr) return nullptr;
   auto it = label_by_query_.find(interned->id());
   if (it == label_by_query_.end()) return nullptr;
   return &it->second;
+}
+
+const label::DisclosureLabel* FrozenCatalog::FindRawLabel(
+    const cq::ConjunctiveQuery& query, uint64_t raw_hash) const {
+  return LabelOf(interner_.FindRaw(query, raw_hash));
+}
+
+const label::DisclosureLabel* FrozenCatalog::FindCanonicalLabel(
+    const std::string& key) const {
+  return LabelOf(interner_.FindCanonical(key));
 }
 
 }  // namespace fdc::engine

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -85,16 +86,26 @@ class FrozenCatalog {
            1;
   }
 
-  /// Frozen warmup label for `query` (up to renaming/atom order), or
-  /// nullptr if the structure was not in the warmup set. Lock-free.
-  const label::DisclosureLabel* FindLabel(
-      const cq::ConjunctiveQuery& query) const;
+  /// Frozen warmup label by raw form: the label of a query byte-identical
+  /// to `query` (`raw_hash` = cq::QueryInterner::RawHash(query)) that
+  /// froze with this tier, or nullptr. No canonicalization. Lock-free.
+  const label::DisclosureLabel* FindRawLabel(const cq::ConjunctiveQuery& query,
+                                             uint64_t raw_hash) const;
+
+  /// Frozen warmup label by canonical key (cq::CanonicalKey, i.e. up to
+  /// renaming/atom order), or nullptr if the structure was not in the
+  /// warmup set. Lock-free.
+  const label::DisclosureLabel* FindCanonicalLabel(
+      const std::string& key) const;
 
   int num_views() const { return catalog_->size(); }
   size_t num_frozen_labels() const { return label_by_query_.size(); }
 
  private:
   FrozenCatalog() = default;
+
+  const label::DisclosureLabel* LabelOf(
+      const cq::InternedQuery* interned) const;
 
   const label::ViewCatalog* catalog_ = nullptr;
   label::DissectOptions dissect_options_;

@@ -205,6 +205,7 @@ std::string StatsToJson(const DisclosureEngine::EngineStats& stats,
   w.Field("overlay_chunk_publishes", stats.labeler.overlay_chunk_publishes);
   w.Field("overlay_chunk_entries", stats.labeler.overlay_chunk_entries);
   w.Field("overlay_reader_locks", stats.labeler.overlay_reader_locks);
+  w.Field("canonicalizations", stats.labeler.canonicalizations);
   w.EndObject();
 
   w.BeginObject("interner");

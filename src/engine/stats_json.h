@@ -14,7 +14,9 @@
 //    "labeler": {"frozen_hits": ..., "overlay_hits": ..., "overlay_misses":
 //      ..., "stateless_fallbacks": ..., "compiled_mask_evals": ...,
 //      "wide_mask_evals": ..., "batch_mask_evals": ..., "simd_lanes_used":
-//      ..., "per_view_tests_avoided": ...},
+//      ..., "per_view_tests_avoided": ..., "overlay_chunk_hits": ...,
+//      "overlay_chunk_publishes": ..., "overlay_chunk_entries": ...,
+//      "overlay_reader_locks": ..., "canonicalizations": ...},
 //    "interner": {"query_hits": ..., "query_misses": ..., "raw_hits": ...,
 //      "pattern_hits": ..., "pattern_misses": ...},
 //    "containment_cache": {"hits": ..., "misses": ..., "insertions": ...,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fb/fb_schema.h"
 #include "test_util.h"
 
 namespace fdc::cq {
@@ -70,6 +71,35 @@ TEST_F(CanonicalTest, CanonicalizeIsIdempotent) {
   ConjunctiveQuery once = Canonicalize(q);
   ConjunctiveQuery twice = Canonicalize(once);
   EXPECT_EQ(once, twice);
+}
+
+TEST_F(CanonicalTest, CanonicalFormKeyNeedsNoSecondCanonicalization) {
+  ConjunctiveQuery q =
+      test::Q("Q(x) :- Contacts(y, w, 'Intern'), Meetings(x, y)", schema_);
+  EXPECT_EQ(CanonicalFormKey(Canonicalize(q)), CanonicalKey(q));
+}
+
+TEST_F(CanonicalTest, QuoteFreeKeysAreUnchanged) {
+  // The key text of quote-free constants is pinned: external dedup (e.g. a
+  // benchmark hashing generated structures by CanonicalKey) relies on it.
+  ConjunctiveQuery q =
+      test::Q("Q(x) :- Contacts(y, w, 'Intern'), Meetings(x, y)", schema_);
+  EXPECT_EQ(CanonicalKey(q), "0(v0d,v1e,);1(v1e,v2e,'Intern',);");
+}
+
+TEST_F(CanonicalTest, QuotesInsideConstantsDoNotCollide) {
+  // Constant boundaries must stay unambiguous when a quoted Datalog
+  // constant itself contains ' — otherwise the memo tiers would hand one
+  // structure's label to the other.
+  const Schema fb = fb::BuildFacebookSchema();
+  const ConjunctiveQuery a =
+      test::Q(R"(Q(a) :- Album(a, u, "self", "B','C", l, t))", fb);
+  const ConjunctiveQuery b =
+      test::Q(R"(Q(a) :- Album(a, u, "self','B", "C", l, t))", fb);
+  EXPECT_NE(CanonicalKey(a), CanonicalKey(b));
+  // ' and the escape character itself are both escaped.
+  EXPECT_EQ(CanonicalKey(test::Q(R"(Q(x) :- Meetings(x, "a\b'"))", schema_)),
+            R"(0(v0d,'a\\b\'',);)");
 }
 
 }  // namespace

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/epoch.h"
+#include "cq/canonical.h"
+#include "engine/labeler.h"
 #include "fb/fb_schema.h"
 #include "fb/fb_views.h"
 #include "label/pipeline.h"
@@ -366,6 +370,187 @@ TEST(EngineEquivalenceTest, FrozenCatalogClosureMatchesDirect) {
           << "views " << v << ", " << w;
     }
   }
+}
+
+// ---- Labeler tiers under both reclaim modes -------------------------------
+//
+// Every test below runs with the overlay read side forced to EBR and to the
+// locked oracle (the FDC_EPOCH=locked path), independent of the environment.
+
+class LabelerModeTest : public ::testing::TestWithParam<epoch::ReclaimChoice> {
+ protected:
+  ConcurrentLabeler::Options Options() const {
+    ConcurrentLabeler::Options options;
+    options.reclaim = GetParam();
+    return options;
+  }
+
+  FbFixture fb_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, LabelerModeTest,
+    ::testing::Values(epoch::ReclaimChoice::kEbr,
+                      epoch::ReclaimChoice::kLocked),
+    [](const ::testing::TestParamInfo<epoch::ReclaimChoice>& info) {
+      return info.param == epoch::ReclaimChoice::kEbr ? std::string("Ebr")
+                                                      : std::string("Locked");
+    });
+
+// Two Album selections whose constant lists once printed alike in the
+// structural keys (the quote inside a Datalog constant was not escaped):
+// the first is answerable by the owner's album view, the second by no view.
+constexpr const char* kSelfAlbum =
+    R"(Q(a) :- Album(a, u, "self", "B','C", l, t))";
+constexpr const char* kTopAlbum =
+    R"(Q(a) :- Album(a, u, "self','B", "C", l, t))";
+
+TEST_P(LabelerModeTest, QuotedConstantsNeverInheritAnotherLabel) {
+  const cq::ConjunctiveQuery self_q = test::Q(kSelfAlbum, fb_.schema);
+  const cq::ConjunctiveQuery top_q = test::Q(kTopAlbum, fb_.schema);
+  // Each query's own label, from pipelines with empty memos.
+  const label::DisclosureLabel self_label =
+      label::LabelingPipeline(&fb_.catalog).Label(self_q);
+  const label::DisclosureLabel top_label =
+      label::LabelingPipeline(&fb_.catalog).Label(top_q);
+  ASSERT_FALSE(self_label.top());
+  ASSERT_TRUE(top_label.top());
+
+  // Seed pipeline memo.
+  label::LabelingPipeline seed(&fb_.catalog);
+  EXPECT_EQ(seed.Label(self_q), self_label);
+  EXPECT_EQ(seed.Label(top_q), top_label);
+
+  // Frozen tier: the first query froze with the warmup set.
+  {
+    ConcurrentLabeler labeler(
+        FrozenCatalog::Build(&fb_.catalog, std::span(&self_q, 1)), Options());
+    EXPECT_EQ(labeler.Label(top_q), top_label);
+    EXPECT_EQ(labeler.Label(self_q), self_label);
+  }
+  // Overlay: memoized on the write side, then (EBR) in a published chunk.
+  for (const bool publish : {false, true}) {
+    ConcurrentLabeler labeler(FrozenCatalog::Build(&fb_.catalog), Options());
+    EXPECT_EQ(labeler.Label(self_q), self_label);
+    if (publish) labeler.PublishOverlayChunk();
+    EXPECT_EQ(labeler.Label(top_q), top_label) << "publish=" << publish;
+    const cq::ConjunctiveQuery batch[] = {self_q, top_q};
+    const std::vector<label::DisclosureLabel> labels =
+        labeler.LabelBatch(std::span<const cq::ConjunctiveQuery>(batch));
+    EXPECT_EQ(labels[0], self_label);
+    EXPECT_EQ(labels[1], top_label);
+  }
+}
+
+TEST_P(LabelerModeTest, QuotedConstantsLabelTopInEitherAtomOrder) {
+  // The same two atoms in one query: Dissect must keep both, so the
+  // unanswerable one makes the whole label ⊤ whichever comes first.
+  const cq::ConjunctiveQuery orders[] = {
+      test::Q(R"(Q(a) :- Album(a, u, "self", "B','C", l, t), )"
+              R"(Album(a, v, "self','B", "C", m, s))",
+              fb_.schema),
+      test::Q(R"(Q(a) :- Album(a, v, "self','B", "C", m, s), )"
+              R"(Album(a, u, "self", "B','C", l, t))",
+              fb_.schema),
+  };
+  for (const cq::ConjunctiveQuery& query : orders) {
+    EXPECT_TRUE(label::LabelingPipeline(&fb_.catalog).Label(query).top());
+  }
+  // Frozen tier (one order warm, the other probing it) and overlay.
+  ConcurrentLabeler frozen(
+      FrozenCatalog::Build(&fb_.catalog, std::span(orders, 1)), Options());
+  ConcurrentLabeler overlay(FrozenCatalog::Build(&fb_.catalog), Options());
+  for (const cq::ConjunctiveQuery& query : orders) {
+    EXPECT_TRUE(frozen.Label(query).top());
+    EXPECT_TRUE(overlay.Label(query).top());
+  }
+}
+
+// The labeler probes both tiers at the raw level before computing any
+// canonical form, and computes at most one per query.
+TEST_P(LabelerModeTest, RawLevelsFirstThenOneCanonicalization) {
+  auto q = [&](const char* text) { return test::Q(text, fb_.schema); };
+  const cq::ConjunctiveQuery warm = q(
+      R"(Q(a, p) :- Album(a, u, "self", n, l, t), )"
+      R"(Photo(p, w, "self", a, c, s))");
+  // Renamed and reordered: equal to `warm` up to structure only.
+  const cq::ConjunctiveQuery warm_variant = q(
+      R"(Q(y, x) :- Photo(y, z1, "self", x, z2, z3), )"
+      R"(Album(x, z4, "self", z5, z6, z7))");
+  const cq::ConjunctiveQuery novel = q(
+      R"(Q(p) :- Photo(p, u, "friend", a, c, t), )"
+      R"(Album(a, w, "friend", n, l, s))");
+  const cq::ConjunctiveQuery novel_variant = q(
+      R"(Q(y) :- Album(x, z1, "friend", z2, z3, z4), )"
+      R"(Photo(y, z5, "friend", x, z6, z7))");
+  const cq::ConjunctiveQuery novel2 =
+      q(R"(Q(g) :- Grp(g, u, "friend", n, d))");
+  // Each variant's raw form differs from its original and from the
+  // original's canonical form (which the interners also hold raw).
+  for (const auto& [original, variant] :
+       {std::pair(&warm, &warm_variant), std::pair(&novel, &novel_variant)}) {
+    ASSERT_EQ(cq::CanonicalKey(*original), cq::CanonicalKey(*variant));
+    ASSERT_FALSE(*variant == *original);
+    ASSERT_FALSE(*variant == cq::Canonicalize(*original));
+  }
+
+  ConcurrentLabeler labeler(FrozenCatalog::Build(&fb_.catalog,
+                                                 std::span(&warm, 1)),
+                            Options());
+  const bool ebr = labeler.reclaim_mode() == epoch::ReclaimMode::kEbr;
+  label::LabelingPipeline seed(&fb_.catalog);
+  ConcurrentLabeler::Stats before = labeler.stats();
+  // Label one query and return the counter deltas it caused.
+  auto label_one = [&](const cq::ConjunctiveQuery& query) {
+    EXPECT_EQ(labeler.Label(query), seed.Label(query));
+    const ConcurrentLabeler::Stats after = labeler.stats();
+    ConcurrentLabeler::Stats delta;
+    delta.frozen_hits = after.frozen_hits - before.frozen_hits;
+    delta.overlay_hits = after.overlay_hits - before.overlay_hits;
+    delta.overlay_misses = after.overlay_misses - before.overlay_misses;
+    delta.overlay_chunk_hits =
+        after.overlay_chunk_hits - before.overlay_chunk_hits;
+    delta.canonicalizations =
+        after.canonicalizations - before.canonicalizations;
+    before = after;
+    return delta;
+  };
+
+  ConcurrentLabeler::Stats d = label_one(warm);  // frozen raw
+  EXPECT_EQ(d.frozen_hits, 1u);
+  EXPECT_EQ(d.canonicalizations, 0u);
+  d = label_one(warm_variant);  // frozen canonical
+  EXPECT_EQ(d.frozen_hits, 1u);
+  EXPECT_EQ(d.canonicalizations, 1u);
+  d = label_one(novel);  // every tier misses: exactly one canonical form
+  EXPECT_EQ(d.overlay_misses, 1u);
+  EXPECT_EQ(d.canonicalizations, 1u);
+
+  labeler.PublishOverlayChunk();  // no-op in locked mode
+  d = label_one(novel);  // overlay raw: chunk (EBR) or reader-locked memo
+  EXPECT_EQ(d.overlay_hits, 1u);
+  EXPECT_EQ(d.overlay_chunk_hits, ebr ? 1u : 0u);
+  EXPECT_EQ(d.canonicalizations, 0u);
+  d = label_one(novel_variant);  // overlay canonical
+  EXPECT_EQ(d.overlay_hits, 1u);
+  EXPECT_EQ(d.overlay_chunk_hits, ebr ? 1u : 0u);
+  EXPECT_EQ(d.canonicalizations, 1u);
+
+  // LabelBatch walks the same tiers per query.
+  const cq::ConjunctiveQuery batch[] = {warm, warm_variant, novel,
+                                        novel_variant, novel2};
+  const std::vector<label::DisclosureLabel> labels =
+      labeler.LabelBatch(std::span<const cq::ConjunctiveQuery>(batch));
+  for (size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(labels[i], seed.Label(batch[i])) << "batch query " << i;
+  }
+  const ConcurrentLabeler::Stats after = labeler.stats();
+  EXPECT_EQ(after.frozen_hits - before.frozen_hits, 2u);
+  EXPECT_EQ(after.overlay_hits - before.overlay_hits, 2u);
+  EXPECT_EQ(after.overlay_chunk_hits - before.overlay_chunk_hits,
+            ebr ? 2u : 0u);
+  EXPECT_EQ(after.overlay_misses - before.overlay_misses, 1u);
+  EXPECT_EQ(after.canonicalizations - before.canonicalizations, 3u);
 }
 
 }  // namespace

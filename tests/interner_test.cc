@@ -117,9 +117,12 @@ TEST_F(InternerTest, CanonicalFormHitsTheRawTable) {
   EXPECT_EQ(via_canonical, &interned);
   EXPECT_EQ(interner_.stats().raw_hits, 1u);
   EXPECT_EQ(interner_.num_queries(), 1);
-  // Find (the lock-free frozen-tier probe) resolves both forms.
-  EXPECT_EQ(interner_.Find(raw), &interned);
-  EXPECT_EQ(interner_.Find(canonical), &interned);
+  // The read-only raw probe (the lock-free frozen-tier probe) resolves both
+  // forms without a key; the canonical probe resolves by key.
+  EXPECT_EQ(interner_.FindRaw(raw, QueryInterner::RawHash(raw)), &interned);
+  EXPECT_EQ(interner_.FindRaw(canonical, QueryInterner::RawHash(canonical)),
+            &interned);
+  EXPECT_EQ(interner_.FindCanonical(CanonicalKey(raw)), &interned);
 }
 
 TEST_F(InternerTest, PatternInterningDeduplicates) {

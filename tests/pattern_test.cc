@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cq/printer.h"
+#include "fb/fb_schema.h"
 #include "test_util.h"
 
 namespace fdc::cq {
@@ -97,6 +98,19 @@ TEST(PatternTest, KeyIsStable) {
   Schema schema = test::MakePaperSchema();
   AtomPattern p = test::P("V(x) :- Contacts(x, y, 'Intern')", schema);
   EXPECT_EQ(p.Key(), "R1(#0d,#1e,'Intern')");
+}
+
+TEST(PatternTest, QuotesInsideConstantsDoNotCollide) {
+  // Dissect dedups a query's atoms by Key(), so two patterns sharing a key
+  // would silently drop an atom (and its ⊤) from the label.
+  const Schema fb = fb::BuildFacebookSchema();
+  const AtomPattern a =
+      test::P(R"(Q(a) :- Album(a, u, "self", "B','C", l, t))", fb);
+  const AtomPattern b =
+      test::P(R"(Q(a) :- Album(a, u, "self','B", "C", l, t))", fb);
+  ASSERT_NE(a, b);
+  EXPECT_NE(a.Key(), b.Key());
+  EXPECT_EQ(a.Key(), R"(R2(#0d,#1e,'self','B\',\'C',#2e,#3e))");
 }
 
 TEST(PatternTest, HasDistinguished) {

@@ -311,7 +311,7 @@ TEST(StatsJsonTest, EngineStatsSerializeToValidJson) {
   for (const char* key :
        {"\"epoch\"", "\"decisions\"", "\"submitted\"", "\"labeler\"",
         "\"interner\"", "\"containment_cache\"", "\"simd_isa\"",
-        "\"shadow\""}) {
+        "\"shadow\"", "\"canonicalizations\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
 }
