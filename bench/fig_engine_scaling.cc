@@ -19,7 +19,6 @@
 #include <string>
 
 #include "bench_util.h"
-#include "common/epoch.h"
 #include "engine/disclosure_engine.h"
 #include "workload/policy_generator.h"
 
@@ -116,82 +115,6 @@ BENCHMARK(BM_EngineSubmit)
     ->ThreadRange(1, 8)
     ->UseRealTime()
     ->Name("EngineScaling/submit/threads");
-
-// Reclaim ablation (PR 10): the EBR wait-free read path vs the locked
-// oracle on the identical per-query Submit shape. Unlike the scaling
-// series above, these engines take NO frozen warmup — every label goes
-// through the dynamic overlay, so the measured tier is exactly the one the
-// refactor rewrote (epoch-pinned snapshot load + lock-free overlay chunk
-// vs shared_ptr-under-rwlock + reader-locked overlay). A manual Explain
-// warm pass (overlay_min_publish=1 publishes per novel label) makes the
-// steady state all warm hits. run_benchmarks.sh computes
-// engine_ebr_vs_locked ratios with a 0.95x single-thread floor and lifts
-// the overlay_reader_locks / epoch_retires counters into
-// BENCH_hotpath.json — EBR must report zero reader locks.
-engine::DisclosureEngine* MakeReclaimEngine(epoch::ReclaimChoice choice) {
-  const auto& pool = Pool();
-  engine::EngineOptions options;
-  options.reclaim = choice;
-  options.labeler.overlay_min_publish = 1;
-  auto* e = new engine::DisclosureEngine(
-      /*db=*/nullptr, FacebookEnv::Get().catalog.get(), Policy(), options);
-  for (const auto& query : pool) (void)e->Explain(query);
-  return e;
-}
-
-engine::DisclosureEngine& EbrEngine() {
-  static engine::DisclosureEngine* e =
-      MakeReclaimEngine(epoch::ReclaimChoice::kEbr);
-  return *e;
-}
-
-engine::DisclosureEngine& LockedEngine() {
-  static engine::DisclosureEngine* e =
-      MakeReclaimEngine(epoch::ReclaimChoice::kLocked);
-  return *e;
-}
-
-void RunReclaimSeries(benchmark::State& state,
-                      engine::DisclosureEngine& engine) {
-  const auto& pool = Pool();
-  const int thread = state.thread_index();
-  size_t i = static_cast<size_t>(thread) * 37 % kPoolSize;
-  int principal_serial = 0;
-  for (auto _ : state) {
-    if (i + kBatchSize > pool.size()) i = 0;
-    const std::string principal =
-        "t" + std::to_string(thread) + "-p" +
-        std::to_string(principal_serial++ % kPrincipalsPerThread);
-    for (int j = 0; j < kBatchSize; ++j) {
-      benchmark::DoNotOptimize(engine.Submit(principal, pool[i + j]));
-    }
-    i += kBatchSize;
-  }
-  ReportRate(state, kBatchSize);
-  if (thread == 0) {
-    const auto stats = engine.Stats();
-    state.counters["overlay_reader_locks"] =
-        static_cast<double>(stats.labeler.overlay_reader_locks);
-    state.counters["epoch_retires"] = static_cast<double>(stats.ebr.retired);
-  }
-}
-
-void BM_EngineReclaimEbr(benchmark::State& state) {
-  RunReclaimSeries(state, EbrEngine());
-}
-
-void BM_EngineReclaimLocked(benchmark::State& state) {
-  RunReclaimSeries(state, LockedEngine());
-}
-
-BENCHMARK(BM_EngineReclaimEbr)
-    ->ThreadRange(1, 8)
-    ->UseRealTime()
-    ->Name("EngineReclaim/ebr/threads");
-BENCHMARK(BM_EngineReclaimLocked)
-    ->ThreadRange(1, 8)
-    ->UseRealTime()
-    ->Name("EngineReclaim/locked/threads");
 
 }  // namespace
 }  // namespace fdc::bench

@@ -296,45 +296,6 @@ for series in ("submit_batch", "submit"):
         merged["speedups"][f"engine_scaling/{series}/threads/{n}"] = \
             round(r / one, 2)
 
-# Reclaim ablation: the EBR wait-free read path vs the locked oracle on
-# the identical per-query Submit shape (cold-frozen engines, overlay-warm).
-# Floor: EBR >= 0.95x locked single-thread throughput — the grace-period
-# machinery must not tax the uncontended case — and the lifted counters
-# must show the EBR leg took zero reader-side lock acquisitions.
-def reclaim_row(series, n):
-    for name in (f"EngineReclaim/{series}/threads/real_time/threads:{n}",
-                 f"EngineReclaim/{series}/threads/threads:{n}",
-                 f"EngineReclaim/{series}/threads/real_time"):
-        b = merged["benchmarks"].get(name)
-        if b and (f"threads:{n}" in name or n == 1):
-            return b
-    return None
-
-merged["engine_ebr_vs_locked"] = {"single_thread_floor": 0.95}
-for n in (1, 2, 4, 8):
-    rows = {s: reclaim_row(s, n) for s in ("ebr", "locked")}
-    rates = {}
-    for series, b in rows.items():
-        if not b:
-            continue
-        r = b.get("queries_per_second") or b.get("items_per_second")
-        if r:
-            rates[series] = r
-            merged["engine_ebr_vs_locked"][f"{series}/threads/{n}"] = r
-    if "ebr" in rates and "locked" in rates:
-        merged["engine_ebr_vs_locked"][f"ratio/threads/{n}"] = \
-            round(rates["ebr"] / rates["locked"], 3)
-for series in ("ebr", "locked"):
-    b = reclaim_row(series, 1)
-    if not b:
-        continue
-    for key in ("overlay_reader_locks", "epoch_retires"):
-        if key in b:
-            merged["engine_ebr_vs_locked"][f"{series}/{key}"] = int(b[key])
-ratio1 = merged["engine_ebr_vs_locked"].get("ratio/threads/1")
-merged["engine_ebr_vs_locked"]["meets_floor"] = \
-    ratio1 is not None and ratio1 >= 0.95
-
 with open(out, "w") as f:
     json.dump(merged, f, indent=2, sort_keys=True)
     f.write("\n")
@@ -364,9 +325,5 @@ if srv is not None:
 dr = merged["fig_server"].get("degraded_ratio")
 if dr is not None:
     msg += f"; degraded/clean ratio = {dr} (floor 0.5)"
-if ratio1 is not None:
-    locks1 = merged["engine_ebr_vs_locked"].get("ebr/overlay_reader_locks")
-    msg += (f"; ebr/locked @1 thread = {ratio1} (floor 0.95, "
-            f"ebr reader locks = {locks1})")
 print(msg)
 EOF

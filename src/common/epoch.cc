@@ -2,25 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace fdc::epoch {
-namespace {
-
-ReclaimMode ParseEnv() {
-  const char* env = std::getenv("FDC_EPOCH");
-  if (env == nullptr) return ReclaimMode::kEbr;
-  if (std::strcmp(env, "locked") == 0) return ReclaimMode::kLocked;
-  // "ebr", "auto", and anything unrecognized all resolve to the default.
-  return ReclaimMode::kEbr;
-}
-
-}  // namespace
-
-ReclaimMode DefaultReclaimMode() {
-  static const ReclaimMode mode = ParseEnv();
-  return mode;
-}
 
 Domain::Domain() = default;
 

@@ -1,4 +1,4 @@
-// Epoch-based reclamation (EBR) for the wait-free read path.
+// Epoch-based reclamation (EBR) for the engine's snapshot read path.
 //
 // Readers pin the current global epoch with an epoch::Guard before touching
 // any epoch-protected pointer; writers publish a replacement pointer and pass
@@ -21,11 +21,6 @@
 //
 // Guards nest: only the outermost Guard per thread pays the fence; inner
 // guards just bump a thread-local depth counter.
-//
-// Mode selection: the FDC_EPOCH env var ("locked" | "ebr" | "auto") picks the
-// process-wide default; options structs carry a ReclaimChoice so tests can
-// force either path explicitly. The locked paths are kept as the
-// property-test oracle for the EBR paths.
 
 #ifndef FDC_COMMON_EPOCH_H_
 #define FDC_COMMON_EPOCH_H_
@@ -35,28 +30,6 @@
 #include <cstddef>
 
 namespace fdc::epoch {
-
-// Resolved reclamation mode used by a component instance.
-enum class ReclaimMode : uint8_t { kLocked, kEbr };
-
-// Option-level choice: kAuto defers to FDC_EPOCH (default: ebr).
-enum class ReclaimChoice : uint8_t { kAuto, kLocked, kEbr };
-
-// Process-wide default parsed once from FDC_EPOCH. Unset/"auto"/"ebr" -> kEbr,
-// "locked" -> kLocked; unrecognized values fall back to kEbr.
-ReclaimMode DefaultReclaimMode();
-
-inline ReclaimMode Resolve(ReclaimChoice choice) {
-  switch (choice) {
-    case ReclaimChoice::kLocked:
-      return ReclaimMode::kLocked;
-    case ReclaimChoice::kEbr:
-      return ReclaimMode::kEbr;
-    case ReclaimChoice::kAuto:
-    default:
-      return DefaultReclaimMode();
-  }
-}
 
 struct DomainStats {
   uint64_t epoch = 0;    // current global epoch
@@ -135,8 +108,10 @@ class Domain {
   Slot slots_[kMaxSlots];
   std::atomic<size_t> slot_high_water_{0};
 
-  // Retire list: writers are rare (policy swaps, chunk rebuilds), so a mutex
-  // here costs nothing on the read path.
+  // Retire list: a lock-free Treiber stack. Retire() pushes with a CAS;
+  // the single active collector detaches the whole list, frees what is
+  // safe and pushes the rest back. Writers (policy and shadow swaps) are
+  // rare, and readers never touch it.
   std::atomic<Retired*> retired_head_{nullptr};
   std::atomic<uint64_t> retired_count_{0};
   std::atomic<uint64_t> freed_count_{0};

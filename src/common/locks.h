@@ -1,17 +1,17 @@
-// Reader-side lock instrumentation for the wait-free read path proof.
+// Reader-side lock instrumentation for the engine's read path.
 //
-// The ISSUE-10 acceptance criterion is hardware-independent: warm-path
-// Submit/SubmitBatch/SubmitCoalesced must perform ZERO reader-side mutex or
-// shared_mutex acquisitions under FDC_EPOCH=ebr. We prove it by counting:
-// every shared (reader) acquisition on a read-path lock bumps a thread-local
-// counter, and the concurrency tests assert the delta across a warm submit
-// is exactly zero in EBR mode (and nonzero in locked mode, as a sanity check
-// that the counter itself works).
+// Policy and shadow snapshots are read under an epoch::Guard with no lock,
+// and frozen-tier labels are read lock-free; only the labeler's dynamic
+// overlay takes a reader lock. Tests prove both halves by counting: every
+// shared (reader) acquisition of a counted lock bumps a thread-local
+// counter, so a warm Submit/SubmitBatch/SubmitCoalesced served by the
+// frozen tier must leave the counter unchanged, and overlay-warm traffic
+// must move it by exactly the labeler's overlay_reader_locks count.
 //
 // Exclusive (writer) acquisitions are deliberately NOT counted: writers may
-// lock freely in either mode. Principal-map shard locks are also uncounted —
-// they are writer-side by role (per-principal state mutation), not part of
-// the shared read path this PR removes.
+// lock freely. Principal-map shard locks are also uncounted — they are
+// writer-side by role (per-principal state mutation), not part of the
+// shared read path.
 
 #ifndef FDC_COMMON_LOCKS_H_
 #define FDC_COMMON_LOCKS_H_
@@ -25,9 +25,8 @@ namespace fdc::locks {
 // thread start. Tests snapshot it around a warm-path call and assert delta.
 uint64_t ReaderLockAcquisitions();
 
-// Bumps the calling thread's reader-lock counter. Used by call sites that
-// take a plain std::mutex in a reader role (e.g. the locked-mode containment
-// cache probe) where a wrapper type would be overkill.
+// Bumps the calling thread's reader-lock counter (CountedSharedMutex's
+// shared side).
 void CountReaderLockAcquisition();
 
 // Drop-in replacement for std::shared_mutex that counts shared acquisitions.

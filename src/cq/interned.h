@@ -28,7 +28,7 @@
 //     locks (engine::FrozenCatalog does exactly this);
 //   * guarded — wrap it in a reader/writer lock with FindRaw/FindCanonical
 //     under the shared side and TryIntern under the exclusive side
-//     (engine::ConcurrentLabeler's locked overlay does this).
+//     (engine::ConcurrentLabeler's dynamic overlay does this).
 // Use one interner per pipeline family (catalog/universe) either way.
 #pragma once
 
@@ -187,24 +187,9 @@ class QueryInterner {
 
   /// Structural hash of a query exactly as written (variable names and atom
   /// order sensitive) — the probe key of the raw-equality level. Exposed so
-  /// external lock-free indexes (the labeler's epoch-swapped overlay chunk)
-  /// can probe with bit-identical hashing.
+  /// a caller probing several interners (the labeler's frozen tier, then
+  /// its overlay) hashes the query once.
   static uint64_t RawHash(const ConjunctiveQuery& query);
-
-  /// Enumerate the raw-equality table: fn(raw form, interned query id).
-  /// Const-surface sharing rules apply (safe on a frozen/guarded interner).
-  template <typename Fn>
-  void ForEachRawEntry(Fn&& fn) const {
-    for (const auto& [hash, bucket] : raw_buckets_) {
-      for (const auto& [raw, id] : bucket) fn(raw, id);
-    }
-  }
-
-  /// Enumerate the canonical-key table: fn(canonical key, interned query id).
-  template <typename Fn>
-  void ForEachCanonicalKey(Fn&& fn) const {
-    for (const auto& [key, id] : query_by_key_) fn(key, id);
-  }
 
   static constexpr size_t kMaxRawEntries = 1 << 20;
   static constexpr size_t kMaxApproxBytes = size_t{256} << 20;  // 256 MB

@@ -1,5 +1,6 @@
 #include "engine/disclosure_engine.h"
 
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -12,23 +13,9 @@
 namespace fdc::engine {
 namespace {
 
-// Propagate the engine's resolved reclaim mode into the labeler unless the
-// caller pinned the labeler's mode explicitly — one FDC_EPOCH leg configures
-// one consistent read-path design across all three layers.
-ConcurrentLabeler::Options ResolvedLabelerOptions(const EngineOptions& options,
-                                                  epoch::ReclaimMode mode) {
-  ConcurrentLabeler::Options labeler = options.labeler;
-  if (labeler.reclaim == epoch::ReclaimChoice::kAuto) {
-    labeler.reclaim = mode == epoch::ReclaimMode::kEbr
-                          ? epoch::ReclaimChoice::kEbr
-                          : epoch::ReclaimChoice::kLocked;
-  }
-  return labeler;
-}
-
 // Parks a displaced snapshot's ownership in the epoch domain: the refcount
 // held by the heap holder drops only after every reader pinned at retire
-// time has unpinned, so EBR raw-pointer loads stay valid for guard scope.
+// time has unpinned, so raw-pointer loads stay valid for guard scope.
 void RetireSnapshot(std::shared_ptr<const EngineSnapshot> retired) {
   if (retired == nullptr) return;
   auto* holder =
@@ -45,8 +32,7 @@ DisclosureEngine::DisclosureEngine(const storage::Database* db,
                                    std::span<const cq::ConjunctiveQuery> warmup)
     : db_(db),
       frozen_(FrozenCatalog::Build(catalog, warmup, options.dissect)),
-      mode_(epoch::Resolve(options.reclaim)),
-      labeler_(frozen_, ResolvedLabelerOptions(options, mode_)),
+      labeler_(frozen_, options.labeler),
       principals_(options.principals),
       snapshot_(std::make_shared<const EngineSnapshot>(
           frozen_, std::move(policy), /*epoch=*/1)),
@@ -69,14 +55,9 @@ uint64_t DisclosureEngine::UpdatePolicy(policy::SecurityPolicy policy) {
     snapshot_ptr_.store(next.get(), std::memory_order_release);
     retired = std::exchange(snapshot_, std::move(next));
   }
-  if (mode_ == epoch::ReclaimMode::kEbr) {
-    // EBR readers hold raw pointers, not refcounts — the retired snapshot
-    // must outlive every reader pinned before the publish above.
-    RetireSnapshot(std::move(retired));
-  }
-  // Otherwise the retired snapshot releases here; in-flight requests
-  // holding their own shared_ptr copies keep it alive until they finish.
-  //
+  // Readers hold raw pointers, not refcounts — the retired snapshot must
+  // outlive every reader pinned before the publish above.
+  RetireSnapshot(std::move(retired));
   // Residuals narrowed under retired epochs can never be resumed
   // (consistency bits do not transfer across policies) — drop them all and
   // raise the floor, so a straggler still holding a retired snapshot is
@@ -108,7 +89,7 @@ uint64_t DisclosureEngine::SetShadowPolicy(policy::SecurityPolicy policy,
     retired = std::exchange(shadow_snapshot_, std::move(next));
     shadow_name_ = std::move(policy_name);
   }
-  if (mode_ == epoch::ReclaimMode::kEbr) RetireSnapshot(std::move(retired));
+  RetireSnapshot(std::move(retired));
   // A replaced shadow policy invalidates shadow consistency state exactly
   // like a live swap invalidates live state.
   shadow_principals_.DropResidualsBefore(epoch);
@@ -137,16 +118,16 @@ void DisclosureEngine::ClearShadowPolicy() {
     retired = std::exchange(shadow_snapshot_, nullptr);
     shadow_name_.clear();
   }
-  if (mode_ == epoch::ReclaimMode::kEbr) RetireSnapshot(std::move(retired));
+  RetireSnapshot(std::move(retired));
 }
 
 void DisclosureEngine::ShadowEvaluate(
     std::string_view principal,
     std::span<const label::DisclosureLabel* const> labels,
     const std::vector<bool>& live) {
-  SnapshotAccess access(this);
+  epoch::Guard pin;
   for (;;) {
-    const EngineSnapshot* snap = access.LoadShadow();
+    const EngineSnapshot* snap = LoadShadow();
     if (snap == nullptr) return;  // cleared while we were deciding
     const policy::ReferenceMonitor monitor(&snap->policy());
     std::optional<std::vector<bool>> decisions =
@@ -194,9 +175,9 @@ bool DisclosureEngine::Submit(std::string_view principal,
   // Labels depend only on the catalog, never the policy — label once,
   // outside the snapshot retry loop.
   const label::DisclosureLabel label = labeler_.Label(query);
-  SnapshotAccess access(this);
+  epoch::Guard pin;
   for (;;) {
-    const EngineSnapshot* snap = access.Load();
+    const EngineSnapshot* snap = LoadSnapshot();
     const policy::ReferenceMonitor monitor(&snap->policy());
     const std::optional<bool> ok = principals_.TryWithState(
         principal, snap->epoch(), snap->InitialMask(),
@@ -223,9 +204,9 @@ std::vector<bool> DisclosureEngine::SubmitBatch(
     std::span<const cq::ConjunctiveQuery> queries) {
   const std::vector<label::DisclosureLabel> labels =
       labeler_.LabelBatch(queries);
-  SnapshotAccess access(this);
+  epoch::Guard pin;
   for (;;) {
-    const EngineSnapshot* snap = access.Load();
+    const EngineSnapshot* snap = LoadSnapshot();
     const policy::ReferenceMonitor monitor(&snap->policy());
     std::optional<std::vector<bool>> decisions = principals_.TryWithState(
         principal, snap->epoch(), snap->InitialMask(),
@@ -307,11 +288,11 @@ void DisclosureEngine::SubmitCoalesced(
   }
 
   uint64_t ok_total = 0;
-  SnapshotAccess access(this);
+  epoch::Guard pin;
   for (size_t g = 0; g < scratch.groups_used; ++g) {
     const Scratch::Group& group = scratch.groups[g];
     for (;;) {
-      const EngineSnapshot* snap = access.Load();
+      const EngineSnapshot* snap = LoadSnapshot();
       const policy::ReferenceMonitor monitor(&snap->policy());
       std::optional<std::vector<bool>> group_decisions =
           principals_.TryWithState(
@@ -373,9 +354,9 @@ Result<std::vector<storage::Tuple>> DisclosureEngine::QuerySql(
 policy::Explanation DisclosureEngine::ExplainQuery(
     const std::string& principal, const cq::ConjunctiveQuery& query) {
   const label::DisclosureLabel label = labeler_.Label(query);
-  SnapshotAccess access(this);
+  epoch::Guard pin;
   for (;;) {
-    const EngineSnapshot* snap = access.Load();
+    const EngineSnapshot* snap = LoadSnapshot();
     const std::optional<uint64_t> consistent = principals_.Consistent(
         principal, snap->epoch(), snap->InitialMask());
     if (!consistent.has_value()) continue;  // raced a policy swap; reload
@@ -386,9 +367,9 @@ policy::Explanation DisclosureEngine::ExplainQuery(
 
 uint64_t DisclosureEngine::ConsistentPartitions(
     std::string_view principal) const {
-  SnapshotAccess access(this);
+  epoch::Guard pin;
   for (;;) {
-    const EngineSnapshot* snap = access.Load();
+    const EngineSnapshot* snap = LoadSnapshot();
     const std::optional<uint64_t> consistent = principals_.Consistent(
         principal, snap->epoch(), snap->InitialMask());
     if (consistent.has_value()) return *consistent;
@@ -407,9 +388,7 @@ DisclosureEngine::EngineStats DisclosureEngine::Stats() const {
   stats.submitted = stats.accepted + stats.refused;
   stats.labeler = labeler_.stats();
   stats.interner = labeler_.interner_stats();
-  stats.containment = labeler_.cache_stats();
   stats.fold_scratch_reuses = rewriting::FoldScratchReuses();
-  stats.reclaim = mode_;
   stats.ebr = epoch::Domain::Instance().Stats();
   {
     // One snapshot load per Stats call: the live epoch and the shadow

@@ -10,32 +10,27 @@
 //      precomputed view labels, the rewriting-order closure, and a frozen
 //      warmup label table, built once and read lock-free;
 //   2. sharded concurrency: the dynamic labeling overlay behind a
-//      reader/writer lock (engine/labeler.h), the sharded
-//      rewriting::ContainmentCache, and per-principal monitor state in a
-//      sharded open-addressed map (engine/principal_map.h) — Submit /
-//      SubmitBatch from N threads on distinct principals touch disjoint
-//      shard locks and never serialize on labeling hits;
+//      reader/writer lock (engine/labeler.h) and per-principal monitor
+//      state in a sharded open-addressed map (engine/principal_map.h) —
+//      Submit / SubmitBatch from N threads on distinct principals touch
+//      disjoint shard locks, and frozen-tier labels take no lock at all;
 //   3. policy epochs: UpdatePolicy compiles a new EngineSnapshot and
 //      publishes it atomically. Every request loads the snapshot exactly
 //      once, so it sees one consistent policy — never a half-updated one —
 //      and per-principal state is epoch-tagged so stale consistency bits
-//      can never leak across policies. Publication is dual-mode
-//      (EngineOptions::reclaim / FDC_EPOCH): under kEbr (default) the
-//      request path loads an epoch-protected raw pointer under an
-//      epoch::Guard — no lock, no refcount traffic — and the retired
-//      snapshot is reclaimed through epoch::Domain once every in-flight
-//      reader has unpinned; under kLocked the pre-EBR shared_ptr-under-
-//      rwlock path is preserved as the property-test oracle.
+//      can never leak across policies. Requests pin an epoch::Guard and
+//      load the published raw pointer with one acquire load — no lock, no
+//      refcount traffic — and a displaced snapshot is reclaimed through
+//      epoch::Domain once every in-flight reader has unpinned.
 //
-// Ablation/oracle baseline: the seed single-threaded path is kept intact
-// behind GuardedDatabase's use_engine=false mode and LabelingPipeline;
+// Oracle baseline: the seed single-threaded path is kept intact behind
+// GuardedDatabase's use_engine=false mode and LabelingPipeline;
 // bench/fig_engine_scaling.cc sweeps 1→N threads against this facade.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -75,11 +70,6 @@ struct EngineOptions {
   /// Dissection options shared by every tier (must not vary per request:
   /// labels are memoized).
   label::DissectOptions dissect;
-  /// Read-path reclaim mode for snapshot publication (kAuto defers to
-  /// FDC_EPOCH; default ebr). Propagated to the labeler when
-  /// labeler.reclaim is also kAuto, so one choice configures the whole
-  /// engine read path consistently.
-  epoch::ReclaimChoice reclaim = epoch::ReclaimChoice::kAuto;
 };
 
 class DisclosureEngine {
@@ -98,13 +88,11 @@ class DisclosureEngine {
   /// read is consistent). This is the ownership-transferring API for
   /// control-plane callers (server hello/drain frames, tests); the request
   /// hot path uses the internal epoch-pinned raw-pointer load instead and
-  /// never touches this lock in EBR mode.
+  /// never touches this lock.
   std::shared_ptr<const EngineSnapshot> Snapshot() const {
     std::shared_lock<locks::CountedSharedMutex> lock(snapshot_mu_);
     return snapshot_;
   }
-
-  epoch::ReclaimMode reclaim_mode() const { return mode_; }
 
   /// Compiles `policy` into a new snapshot and publishes it atomically.
   /// In-flight requests finish against the snapshot they already loaded
@@ -233,16 +221,13 @@ class DisclosureEngine {
     uint64_t accepted = 0;
     uint64_t refused = 0;
     ConcurrentLabeler::Stats labeler;
-    cq::QueryInterner::Stats interner;          // dynamic overlay interner
-    rewriting::ContainmentCache::Stats containment;  // sharded cache, summed
+    cq::QueryInterner::Stats interner;  // dynamic overlay interner
     /// Folding's atom-drop hom searches served by a warm thread-local
     /// scratch arena. Process-wide (rewriting::FoldScratchReuses), not
     /// per-engine: it counts every consumer in the process.
     uint64_t fold_scratch_reuses = 0;
-    /// Read-path reclamation: the engine's resolved mode plus the shared
-    /// epoch::Domain counters (process-wide — every EBR structure retires
-    /// through the same domain).
-    epoch::ReclaimMode reclaim = epoch::ReclaimMode::kLocked;
+    /// Snapshot reclamation: the shared epoch::Domain counters
+    /// (process-wide — every retired snapshot passes through the domain).
     epoch::DomainStats ebr;
     /// Shadow-policy divergence audit (SetShadowPolicy). The counters are
     /// cumulative across shadow policies; epoch/policy_name describe the
@@ -264,57 +249,31 @@ class DisclosureEngine {
   EngineStats Stats() const;
 
  private:
-  // Request-scoped snapshot access: constructed once per request (or per
-  // retry loop), then Load()/LoadShadow() as often as needed. In EBR mode
-  // it pins one epoch::Guard for its lifetime and every load is a single
-  // acquire load of the published raw pointer — pointers stay valid until
-  // the guard drops because retired snapshots pass through epoch::Domain.
-  // In locked mode each load copies the shared_ptr under the reader lock
-  // (the pre-EBR path, kept as the oracle). Holding the guard across a
+  // Request-path snapshot loads: one acquire load of the published raw
+  // pointer. The caller must hold an epoch::Guard for as long as it uses
+  // the result — retired snapshots pass through epoch::Domain, so the
+  // pointer stays valid until the guard drops. Holding one guard across a
   // retry loop is safe: a pinned epoch also protects pointers published
   // *after* the pin (they retire at an epoch the pin blocks from expiring).
-  class SnapshotAccess {
-   public:
-    explicit SnapshotAccess(const DisclosureEngine* engine)
-        : engine_(engine) {
-      if (engine_->mode_ == epoch::ReclaimMode::kEbr) guard_.emplace();
-    }
-    const EngineSnapshot* Load() {
-      if (engine_->mode_ == epoch::ReclaimMode::kEbr) {
-        return engine_->snapshot_ptr_.load(std::memory_order_acquire);
-      }
-      owned_ = engine_->Snapshot();
-      return owned_.get();
-    }
-    /// Current shadow snapshot, or nullptr when no shadow policy is staged.
-    const EngineSnapshot* LoadShadow() {
-      if (engine_->mode_ == epoch::ReclaimMode::kEbr) {
-        return engine_->shadow_ptr_.load(std::memory_order_acquire);
-      }
-      shadow_owned_ = engine_->ShadowSnapshot();
-      return shadow_owned_.get();
-    }
-
-   private:
-    const DisclosureEngine* engine_;
-    std::optional<epoch::Guard> guard_;
-    std::shared_ptr<const EngineSnapshot> owned_;
-    std::shared_ptr<const EngineSnapshot> shadow_owned_;
-  };
+  const EngineSnapshot* LoadSnapshot() const {
+    return snapshot_ptr_.load(std::memory_order_acquire);
+  }
+  /// Current shadow snapshot, or nullptr when no shadow policy is staged.
+  const EngineSnapshot* LoadShadow() const {
+    return shadow_ptr_.load(std::memory_order_acquire);
+  }
 
   const storage::Database* db_;
   std::shared_ptr<const FrozenCatalog> frozen_;
-  epoch::ReclaimMode mode_;
   ConcurrentLabeler labeler_;
   PrincipalStateMap principals_;
-  // Snapshot publication. The shared_ptr under the rwlock remains the
-  // owning store in both modes (and the locked-mode read path — readers
-  // copy the pointer under the shared side; deliberately not
-  // std::atomic<std::shared_ptr>, whose libstdc++ _Sp_atomic spin-bit
-  // protocol trips ThreadSanitizer). In EBR mode the raw pointer below is
-  // the read path: published with a release store inside the writer
-  // section, loaded with one acquire load under an epoch::Guard, and the
-  // displaced snapshot's ownership is parked in a heap holder retired
+  // Snapshot publication. The shared_ptr under the rwlock is the owning
+  // store (and what Snapshot() copies for control-plane callers;
+  // deliberately not std::atomic<std::shared_ptr>, whose libstdc++
+  // _Sp_atomic spin-bit protocol trips ThreadSanitizer). The raw pointer
+  // below is the request path: published with a release store inside the
+  // writer section, loaded with one acquire load under an epoch::Guard, and
+  // the displaced snapshot's ownership is parked in a heap holder retired
   // through epoch::Domain so its refcount cannot drop while any reader is
   // still pinned.
   mutable locks::CountedSharedMutex snapshot_mu_;
@@ -335,7 +294,7 @@ class DisclosureEngine {
   // only shadow cost per decision is one relaxed-ish atomic load.
   alignas(64) std::atomic<bool> shadow_enabled_{false};
   std::shared_ptr<const EngineSnapshot> shadow_snapshot_;  // snapshot_mu_
-  // EBR read path for the shadow snapshot, mirroring snapshot_ptr_
+  // Request path for the shadow snapshot, mirroring snapshot_ptr_
   // (nullptr = no shadow staged).
   std::atomic<const EngineSnapshot*> shadow_ptr_{nullptr};
   std::string shadow_name_;                                // snapshot_mu_
@@ -349,10 +308,6 @@ class DisclosureEngine {
   alignas(64) std::atomic<uint64_t> shadow_agree_{0};
   std::atomic<uint64_t> shadow_stricter_{0};
   std::atomic<uint64_t> shadow_looser_{0};
-  std::shared_ptr<const EngineSnapshot> ShadowSnapshot() const {
-    std::shared_lock<locks::CountedSharedMutex> lock(snapshot_mu_);
-    return shadow_snapshot_;
-  }
   /// Replays one principal's just-decided labels against the shadow
   /// policy and tallies agreement; `live` holds the live decisions in
   /// `labels` order.

@@ -1,9 +1,6 @@
 #include "engine/labeler.h"
 
-#include <algorithm>
-#include <bit>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -12,152 +9,9 @@
 
 namespace fdc::engine {
 
-// Immutable snapshot of the overlay's (raw form | canonical key) -> label
-// mapping. Built under the write mutex, published through an epoch-protected
-// atomic pointer, probed lock-free under an epoch::Guard, retired through
-// epoch::Domain when replaced. Two open-addressed tables mirror the
-// interner's two levels: byte-identical resubmitted templates hit the raw
-// table without paying canonicalization; renamed/reordered variants fall
-// through to the canonical-key table.
-struct ConcurrentLabeler::OverlayChunk {
-  static constexpr uint32_t kEmpty = 0xffffffffu;
-
-  struct Slot {
-    uint64_t hash = 0;
-    uint32_t idx = kEmpty;
-  };
-
-  std::vector<std::pair<cq::ConjunctiveQuery, label::DisclosureLabel>>
-      raw_entries;
-  std::vector<std::pair<std::string, label::DisclosureLabel>> canon_entries;
-  std::vector<Slot> raw_slots;    // power-of-two, linear probing
-  std::vector<Slot> canon_slots;  // power-of-two, linear probing
-
-  static uint64_t KeyHash(const std::string& key) {
-    uint64_t h = 1469598103934665603ull;  // FNV-1a
-    for (const char c : key) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-
-  template <typename Entries, typename HashFn>
-  static void BuildTable(const Entries& entries, HashFn&& hash_of,
-                         std::vector<Slot>* slots) {
-    const size_t n = entries.size();
-    const size_t cap = std::max<size_t>(8, std::bit_ceil(2 * n + 1));
-    slots->assign(cap, Slot{});
-    const size_t mask = cap - 1;
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t h = hash_of(entries[i].first);
-      size_t pos = static_cast<size_t>(h) & mask;
-      while ((*slots)[pos].idx != kEmpty) pos = (pos + 1) & mask;
-      (*slots)[pos] = Slot{h, static_cast<uint32_t>(i)};
-    }
-  }
-
-  void BuildTables() {
-    BuildTable(raw_entries, [](const cq::ConjunctiveQuery& q) {
-      return cq::QueryInterner::RawHash(q);
-    }, &raw_slots);
-    BuildTable(canon_entries, [](const std::string& k) { return KeyHash(k); },
-               &canon_slots);
-  }
-
-  const label::DisclosureLabel* FindRaw(uint64_t hash,
-                                        const cq::ConjunctiveQuery& q) const {
-    const size_t mask = raw_slots.size() - 1;
-    for (size_t pos = static_cast<size_t>(hash) & mask;;
-         pos = (pos + 1) & mask) {
-      const Slot& slot = raw_slots[pos];
-      if (slot.idx == kEmpty) return nullptr;
-      if (slot.hash == hash && raw_entries[slot.idx].first == q) {
-        return &raw_entries[slot.idx].second;
-      }
-    }
-  }
-
-  const label::DisclosureLabel* FindCanonical(uint64_t hash,
-                                              const std::string& key) const {
-    const size_t mask = canon_slots.size() - 1;
-    for (size_t pos = static_cast<size_t>(hash) & mask;;
-         pos = (pos + 1) & mask) {
-      const Slot& slot = canon_slots[pos];
-      if (slot.idx == kEmpty) return nullptr;
-      if (slot.hash == hash && canon_entries[slot.idx].first == key) {
-        return &canon_entries[slot.idx].second;
-      }
-    }
-  }
-};
-
 ConcurrentLabeler::ConcurrentLabeler(
     std::shared_ptr<const FrozenCatalog> frozen, Options options)
-    : frozen_(std::move(frozen)),
-      options_(options),
-      mode_(epoch::Resolve(options.reclaim)),
-      stateless_(&frozen_->catalog(), frozen_->dissect_options()) {
-  if (options_.ablate_compiled_matcher) {
-    // The cache follows the labeler's resolved mode so one FDC_EPOCH leg
-    // exercises one consistent read-path design end to end.
-    cache_ = std::make_unique<rewriting::ContainmentCache>(
-        options_.containment_cache_capacity, 64,
-        mode_ == epoch::ReclaimMode::kEbr ? epoch::ReclaimChoice::kEbr
-                                          : epoch::ReclaimChoice::kLocked);
-  }
-}
-
-ConcurrentLabeler::~ConcurrentLabeler() {
-  // Destruction implies no concurrent Label calls on *this*, but a chunk
-  // retired earlier may still be pending in the domain; route the live one
-  // through the same path rather than deleting inline.
-  if (const OverlayChunk* chunk =
-          chunk_.exchange(nullptr, std::memory_order_acq_rel)) {
-    epoch::Domain::Instance().RetireDelete(chunk);
-  }
-}
-
-void ConcurrentLabeler::PublishChunkLocked() {
-  auto* chunk = new OverlayChunk;
-  interner_.ForEachRawEntry([&](const cq::ConjunctiveQuery& raw, int id) {
-    auto it = label_by_query_.find(id);
-    if (it != label_by_query_.end()) {
-      chunk->raw_entries.emplace_back(raw, it->second);
-    }
-  });
-  interner_.ForEachCanonicalKey([&](const std::string& key, int id) {
-    auto it = label_by_query_.find(id);
-    if (it != label_by_query_.end()) {
-      chunk->canon_entries.emplace_back(key, it->second);
-    }
-  });
-  chunk->BuildTables();
-  overlay_chunk_entries_.store(
-      chunk->raw_entries.size() + chunk->canon_entries.size(),
-      std::memory_order_relaxed);
-  overlay_chunk_publishes_.fetch_add(1, std::memory_order_relaxed);
-  publish_pressure_ = 0;
-  published_entries_ = label_by_query_.size();
-  const OverlayChunk* old =
-      chunk_.exchange(chunk, std::memory_order_acq_rel);
-  if (old != nullptr) epoch::Domain::Instance().RetireDelete(old);
-}
-
-void ConcurrentLabeler::NotePublishPressureLocked() {
-  if (mode_ != epoch::ReclaimMode::kEbr) return;
-  ++publish_pressure_;
-  const size_t threshold =
-      std::max<size_t>(1, std::max(options_.overlay_min_publish,
-                                   published_entries_ / 8));
-  if (publish_pressure_ >= threshold) PublishChunkLocked();
-}
-
-void ConcurrentLabeler::PublishOverlayChunk() {
-  if (mode_ != epoch::ReclaimMode::kEbr) return;
-  std::unique_lock<locks::CountedSharedMutex> lock(mu_);
-  PublishChunkLocked();
-}
+    : frozen_(std::move(frozen)), options_(options) {}
 
 label::DisclosureLabel ConcurrentLabeler::LabelCompiled(
     const cq::ConjunctiveQuery& query) {
@@ -185,49 +39,12 @@ label::DisclosureLabel ConcurrentLabeler::LabelCompiled(
   return label;
 }
 
-label::DisclosureLabel ConcurrentLabeler::ComputeLabelLocked(
-    const cq::ConjunctiveQuery& canonical) {
-  label::DisclosureLabel label;
-  for (const cq::AtomPattern& atom :
-       label::Dissect(canonical, frozen_->dissect_options())) {
-    const int pattern_id = interner_.InternPattern(atom);
-    auto it = mask_by_pattern_.find(pattern_id);
-    if (it == mask_by_pattern_.end()) {
-      // Same kernel as LabelingPipeline::MaskFor — decision identity with
-      // the seed path depends on sharing it, not re-implementing it.
-      it = mask_by_pattern_
-               .emplace(pattern_id,
-                        label::ComputePatternMask(frozen_->catalog(),
-                                                  interner_, *cache_,
-                                                  pattern_id, atom))
-               .first;
-    }
-    label.Add(it->second);
-  }
-  label.Seal();
-  return label;
-}
-
-template <typename ChunkFind, typename InternerFind>
-bool ConcurrentLabeler::ProbeOverlay(ChunkFind&& chunk_find,
-                                     InternerFind&& interner_find,
+template <typename Find>
+bool ConcurrentLabeler::ProbeOverlay(Find&& find,
                                      label::DisclosureLabel* out) {
-  if (mode_ == epoch::ReclaimMode::kEbr) {
-    // No lock, no shared state mutation: the published chunk is immutable
-    // and cannot be freed while this guard pins the epoch.
-    epoch::Guard guard;
-    const OverlayChunk* chunk = chunk_.load(std::memory_order_acquire);
-    const label::DisclosureLabel* hit =
-        chunk != nullptr ? chunk_find(*chunk) : nullptr;
-    if (hit == nullptr) return false;
-    overlay_chunk_hits_.fetch_add(1, std::memory_order_relaxed);
-    overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-    *out = *hit;
-    return true;
-  }
   std::shared_lock<locks::CountedSharedMutex> lock(mu_);
   overlay_reader_locks_.fetch_add(1, std::memory_order_relaxed);
-  const cq::InternedQuery* interned = interner_find();
+  const cq::InternedQuery* interned = find();
   if (interned == nullptr) return false;
   auto it = label_by_query_.find(interned->id());
   if (it == label_by_query_.end()) return false;
@@ -250,11 +67,8 @@ bool ConcurrentLabeler::ProbeReadTiers(const cq::ConjunctiveQuery& query,
     *out = *hit;
     return true;
   }
-  if (ProbeOverlay(
-          [&](const OverlayChunk& chunk) {
-            return chunk.FindRaw(probe->raw_hash, query);
-          },
-          [&] { return interner_.FindRaw(query, probe->raw_hash); }, out)) {
+  if (ProbeOverlay([&] { return interner_.FindRaw(query, probe->raw_hash); },
+                   out)) {
     return true;
   }
 
@@ -269,12 +83,8 @@ bool ConcurrentLabeler::ProbeReadTiers(const cq::ConjunctiveQuery& query,
     *out = *hit;
     return true;
   }
-  const uint64_t key_hash = OverlayChunk::KeyHash(probe->key);
-  return ProbeOverlay(
-      [&](const OverlayChunk& chunk) {
-        return chunk.FindCanonical(key_hash, probe->key);
-      },
-      [&] { return interner_.FindCanonical(probe->key); }, out);
+  return ProbeOverlay([&] { return interner_.FindCanonical(probe->key); },
+                      out);
 }
 
 const cq::InternedQuery* ConcurrentLabeler::InternLocked(
@@ -291,65 +101,32 @@ label::DisclosureLabel ConcurrentLabeler::Label(
   label::DisclosureLabel label;
   if (ProbeReadTiers(query, &probe, &label)) return label;
 
-  // Writer pass: label, intern, memoize. On the compiled path the label is
-  // computed *before* the writer lock — LabelCompiled only reads frozen
-  // state, so N threads labeling distinct novel structures (Dissect,
-  // folding's hom searches, the net evaluations) proceed in parallel and
-  // the exclusive section shrinks to TryIntern + one memo insert. Labels
-  // are pure functions of the structure, so a racing duplicate compute
-  // stores the identical value. The ablated seed kernel mutates overlay
-  // state (pattern interner + mask memo) and must stay fully locked.
-  if (!options_.ablate_compiled_matcher) {
-    label = LabelCompiled(query);
-    std::unique_lock<locks::CountedSharedMutex> lock(mu_);
-    const cq::InternedQuery* interned = InternLocked(query, &probe);
-    if (interned == nullptr) {
-      // Overlay saturated; the label is already stateless.
-      lock.unlock();
-      stateless_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      return label;
-    }
-    auto it = label_by_query_.find(interned->id());
-    if (it != label_by_query_.end()) {
-      overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-      // EBR: a memoized entry the chunk doesn't cover yet — publish
-      // pressure, so repeated traffic re-freezes the chunk promptly.
-      NotePublishPressureLocked();
-      return it->second;
-    }
-    overlay_misses_.fetch_add(1, std::memory_order_relaxed);
-    if (label_by_query_.size() >= options_.max_label_cache) {
-      label_by_query_.clear();
-    }
-    label_by_query_.emplace(interned->id(), label);
-    NotePublishPressureLocked();
-    return label;
-  }
-
-  // Ablated (seed-kernel) path: exclusive intern + label. Double-check
-  // under the writer lock: another thread may have labeled the same
-  // structure since the read-side probes.
+  // Writer pass: label, intern, memoize. The label is computed *before*
+  // the writer lock — LabelCompiled only reads frozen state, so N threads
+  // labeling distinct novel structures (Dissect, folding's hom searches,
+  // the net evaluations) proceed in parallel and the exclusive section
+  // shrinks to TryIntern + one memo insert. Labels are pure functions of
+  // the structure, so a racing duplicate compute stores the identical
+  // value.
+  label = LabelCompiled(query);
   std::unique_lock<locks::CountedSharedMutex> lock(mu_);
   const cq::InternedQuery* interned = InternLocked(query, &probe);
   if (interned == nullptr) {
-    // Overlay saturated; pure stateless compute, no shared state.
+    // Overlay saturated; the label is already stateless.
     lock.unlock();
     stateless_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    return stateless_.LabelPacked(query);
+    return label;
   }
   auto it = label_by_query_.find(interned->id());
   if (it != label_by_query_.end()) {
     overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-    NotePublishPressureLocked();
     return it->second;
   }
   overlay_misses_.fetch_add(1, std::memory_order_relaxed);
   if (label_by_query_.size() >= options_.max_label_cache) {
     label_by_query_.clear();
   }
-  label = ComputeLabelLocked(interned->query());
   label_by_query_.emplace(interned->id(), label);
-  NotePublishPressureLocked();
   return label;
 }
 
@@ -364,26 +141,12 @@ std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
 
 std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
     std::span<const cq::ConjunctiveQuery* const> queries) {
-  if (options_.ablate_compiled_matcher || options_.ablate_batch_kernel) {
-    // Ablations: the seed kernel mutates overlay state per query, and the
-    // batch ablation deliberately restores the pre-batch shape.
-    std::vector<label::DisclosureLabel> out;
-    out.reserve(queries.size());
-    for (const cq::ConjunctiveQuery* query : queries) {
-      out.push_back(Label(*query));
-    }
-    return out;
-  }
-
   // Read-side tiers per query, in Label's order; the misses keep their
   // probe (raw hash + the one canonical form) for the writer passes.
   std::vector<label::DisclosureLabel> out(queries.size());
   std::vector<size_t> unresolved;
   std::vector<Probe> probes;  // parallel to `unresolved`
   {
-    // One epoch pin for the whole loop; the per-level guards nest in it.
-    std::optional<epoch::Guard> pin;
-    if (mode_ == epoch::ReclaimMode::kEbr) pin.emplace();
     // One probe reused across the loop: ProbeReadTiers overwrites every
     // field it later reads, so a moved-from probe needs no reset.
     Probe probe;
@@ -420,8 +183,6 @@ std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
       auto it = label_by_query_.find(id);
       if (it != label_by_query_.end()) {
         overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-        // Memoized but not yet chunk-visible (EBR): publish pressure.
-        NotePublishPressureLocked();
         out[k] = it->second;
         continue;
       }
@@ -474,7 +235,6 @@ std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
           label_by_query_.clear();
         }
         label_by_query_.emplace(slot_id[s], computed[s]);
-        NotePublishPressureLocked();
       }
     }
     for (size_t u = 0; u < unresolved.size(); ++u) {
@@ -500,12 +260,6 @@ ConcurrentLabeler::Stats ConcurrentLabeler::stats() const {
   stats.simd_lanes_used = simd_lanes_used_.load(std::memory_order_relaxed);
   stats.per_view_tests_avoided =
       per_view_tests_avoided_.load(std::memory_order_relaxed);
-  stats.overlay_chunk_hits =
-      overlay_chunk_hits_.load(std::memory_order_relaxed);
-  stats.overlay_chunk_publishes =
-      overlay_chunk_publishes_.load(std::memory_order_relaxed);
-  stats.overlay_chunk_entries =
-      overlay_chunk_entries_.load(std::memory_order_relaxed);
   stats.overlay_reader_locks =
       overlay_reader_locks_.load(std::memory_order_relaxed);
   stats.canonicalizations =

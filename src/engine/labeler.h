@@ -9,47 +9,33 @@
 //
 //   * the FrozenCatalog warmup tier — an immutable interner + label table,
 //     read lock-free by any number of threads;
-//   * a *dynamic overlay* of structures labeled since. Its read side
-//     depends on the reclaim mode (Options::reclaim / FDC_EPOCH):
-//       - kEbr (default): reads take NO lock. An immutable OverlayChunk —
-//         the overlay interner's raw and canonical tables plus their
-//         memoized labels, frozen into open-addressed arrays — is
-//         published through an epoch-protected atomic pointer and probed
-//         under an epoch::Guard. The chunk is rebuilt under the write mutex
-//         when enough novel structures accumulate
-//         (Options::overlay_min_publish + a live-size-proportional
-//         threshold, so rebuild work is amortized O(n)) and the old chunk
-//         is retired through epoch::Domain, never freed under a reader. A
-//         stale chunk is always *correct* — labels are pure functions of
-//         the query — it just under-hits.
-//       - kLocked: the pre-EBR rwlock overlay, kept as the property-test
-//         oracle — each level probes the overlay interner
-//         (QueryInterner::FindRaw / FindCanonical) and memo under the
-//         shared (reader) side.
+//   * a *dynamic overlay* of structures labeled since: an interner + label
+//     memo behind a reader/writer lock. Each overlay level probes the
+//     interner (QueryInterner::FindRaw / FindCanonical) and the memo under
+//     the shared (reader) side; only a novel structure takes the exclusive
+//     side, to intern and memoize it.
 //
 // Probe order — raw levels first, then one canonical key:
 //
 //   1. frozen raw;
-//   2. overlay raw (chunk, or interner under the reader lock);
+//   2. overlay raw (interner + memo under the reader lock);
 //   3. cq::Canonicalize and cq::CanonicalFormKey, once;
 //   4. frozen canonical;
 //   5. overlay canonical;
 //   6. writer pass: label, then QueryInterner::TryIntern with step 3's
 //      canonical form and key under the exclusive side, and memoize.
 //
-// A byte-identical repeat of a frozen or published structure therefore
+// A byte-identical repeat of a frozen or memoized structure therefore
 // computes no canonical form, and a novel one computes exactly one
 // (Stats::canonicalizations). The order changes no result: the overlay
 // interns a structure only after the frozen tier missed it at both levels,
 // so no raw form the overlay holds can also be frozen.
 //
 // Per-atom ℓ+ masks come from the frozen tier's CompiledCatalogMatcher (one
-// allocation-free pass per atom, read lock-free); the seed per-view kernel
-// — pattern interning + the sharded rewriting::ContainmentCache — stays
-// behind Options::ablate_compiled_matcher as the oracle. When the overlay
-// interner saturates (principal-controlled input must not grow memory
-// without bound), novel structures are labeled statelessly via the
-// compiled matcher — a pure function, no locks.
+// allocation-free pass per atom, read lock-free), computed before the
+// writer lock is taken. When the overlay interner saturates
+// (principal-controlled input must not grow memory without bound), novel
+// structures are labeled but not memoized — a pure function, no locks.
 //
 // This saturation bound is the labeling-side twin of the principal map's
 // capacity/TTL lifecycle (engine/principal_map.h): both cap the only two
@@ -76,14 +62,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/epoch.h"
 #include "common/locks.h"
 #include "cq/interned.h"
 #include "cq/query.h"
 #include "engine/snapshot.h"
 #include "label/compressed_label.h"
 #include "label/pipeline.h"
-#include "rewriting/containment_cache.h"
 
 namespace fdc::engine {
 
@@ -93,28 +77,6 @@ struct ConcurrentLabelerOptions {
   size_t max_interned_queries = 1 << 20;
   /// Overlay whole-query label memo entries kept before a reset.
   size_t max_label_cache = 1 << 20;
-  /// Total slots in the sharded containment cache (seed-kernel path only).
-  size_t containment_cache_capacity = 1 << 16;
-  /// Ablation: per-atom masks via the seed per-view kernel (pattern
-  /// interning + ContainmentCache) instead of the compiled matcher. The
-  /// seed kernel is packed-only (views with bit ≥ 32 excluded — strictly
-  /// higher labels), so this oracle is meaningful on catalogs within the
-  /// packed view capacity; the wide path has its own per-view oracle
-  /// (LabelerPipeline::LabelWide, tests/wide_matcher_property_test.cc).
-  bool ablate_compiled_matcher = false;
-  /// Batch ablation: LabelBatch degrades to one Label() per query (the
-  /// pre-batch shape) instead of the bucketed MatchMaskBatch path. Labels
-  /// are identical either way; isolates the batch kernel in benchmarks.
-  bool ablate_batch_kernel = false;
-  /// Overlay read-side reclaim mode: kAuto defers to FDC_EPOCH (default
-  /// ebr). kLocked preserves the rwlock overlay as the oracle.
-  epoch::ReclaimChoice reclaim = epoch::ReclaimChoice::kAuto;
-  /// EBR mode: minimum publish pressure (novel memoizations + warm hits
-  /// served from the write side because the chunk is stale) before the
-  /// overlay chunk is rebuilt and re-published. The effective threshold is
-  /// max(overlay_min_publish, live_entries/8), so rebuild cost stays
-  /// amortized-linear under novel floods. Tests set 1 for determinism.
-  size_t overlay_min_publish = 16;
 };
 
 class ConcurrentLabeler {
@@ -140,18 +102,16 @@ class ConcurrentLabeler {
     // Per-view rewritability tests the seed kernel would have run for
     // those masks.
     uint64_t per_view_tests_avoided = 0;
-    // EBR overlay: warm hits served lock-free from the published chunk
-    // (a subset of overlay_hits), chunk rebuild/publish count, and entries
-    // in the currently published chunk (raw + canonical).
+    // Always 0: the overlay has no published chunk tier. Kept so existing
+    // readers of these fields keep compiling.
     uint64_t overlay_chunk_hits = 0;
     uint64_t overlay_chunk_publishes = 0;
-    uint64_t overlay_chunk_entries = 0;
-    // Reader-side (shared) acquisitions of the overlay lock — the bench
-    // counter proving the wait-free read path: 0 in EBR mode.
+    // Reader-side (shared) acquisitions of the overlay lock: one per
+    // overlay level probed. Frozen-tier hits take none.
     uint64_t overlay_reader_locks = 0;
     // Queries canonicalized because both raw levels missed (at most once
-    // per query): byte-identical repeats of frozen or chunk-published
-    // structures cost none.
+    // per query): byte-identical repeats of frozen or overlay structures
+    // cost none.
     uint64_t canonicalizations = 0;
   };
 
@@ -162,14 +122,12 @@ class ConcurrentLabeler {
   /// LabelerPipeline::LabelPacked on packed-only catalogs).
   label::DisclosureLabel Label(const cq::ConjunctiveQuery& query);
 
-  /// Labels a batch; each distinct novel structure is computed once. On the
-  /// compiled path the batch's novel structures resolve through the
-  /// batch-structured frozen-tier kernel: every query first goes through
+  /// Labels a batch; each distinct novel structure is computed once, through
+  /// the batch-structured frozen-tier kernel: every query first goes through
   /// Label's read-side tiers, a first writer section interns and dedupes,
   /// the heavy compute (Dissect + per-relation MatchMaskBatch buckets via
   /// label::LabelQueriesBatched) runs with no lock held, and a second
-  /// writer section memoizes. `ablate_batch_kernel` (or the seed-kernel
-  /// ablation) restores the per-query loop.
+  /// writer section memoizes.
   std::vector<label::DisclosureLabel> LabelBatch(
       std::span<const cq::ConjunctiveQuery> queries);
 
@@ -181,26 +139,11 @@ class ConcurrentLabeler {
   std::vector<label::DisclosureLabel> LabelBatch(
       std::span<const cq::ConjunctiveQuery* const> queries);
 
-  ~ConcurrentLabeler();
-
   Stats stats() const;
-  rewriting::ContainmentCache::Stats cache_stats() const {
-    return cache_ != nullptr ? cache_->stats()
-                             : rewriting::ContainmentCache::Stats{};
-  }
   cq::QueryInterner::Stats interner_stats() const;
   const FrozenCatalog& frozen() const { return *frozen_; }
-  epoch::ReclaimMode reclaim_mode() const { return mode_; }
-
-  /// EBR mode: force an overlay chunk rebuild + publish now (no-op in
-  /// locked mode). Tests and operators use it to make every memoized entry
-  /// immediately probe-able lock-free instead of waiting for publish
-  /// pressure to accumulate.
-  void PublishOverlayChunk();
 
  private:
-  struct OverlayChunk;
-
   /// One query's trip through the tiers: its raw hash, and — once both raw
   /// levels missed — its one canonical form and key, which the writer pass
   /// hands to TryIntern instead of canonicalizing again.
@@ -217,12 +160,10 @@ class ConcurrentLabeler {
   bool ProbeReadTiers(const cq::ConjunctiveQuery& query, Probe* probe,
                       label::DisclosureLabel* out);
 
-  /// One overlay level. kEbr: `chunk_find(chunk)` on the published chunk
-  /// under an epoch guard; kLocked: `interner_find()` plus the memo under
-  /// the shared side of mu_. Counts the hit.
-  template <typename ChunkFind, typename InternerFind>
-  bool ProbeOverlay(ChunkFind&& chunk_find, InternerFind&& interner_find,
-                    label::DisclosureLabel* out);
+  /// One overlay level: `find()` (an interner probe) plus the memo under
+  /// the shared side of mu_. Counts the lock and the hit.
+  template <typename Find>
+  bool ProbeOverlay(Find&& find, label::DisclosureLabel* out);
 
   /// TryIntern with the probe's canonical form and key (consumed); mu_ held
   /// exclusively.
@@ -232,42 +173,15 @@ class ConcurrentLabeler {
   /// relaxed counter bumps, safe from any thread with no locks held.
   label::DisclosureLabel LabelCompiled(const cq::ConjunctiveQuery& query);
 
-  /// Seed-kernel (ablated) labeling; requires mu_ held exclusively — it
-  /// mutates the per-pattern mask memo and the overlay pattern interner.
-  label::DisclosureLabel ComputeLabelLocked(
-      const cq::ConjunctiveQuery& canonical);
-
-  /// EBR write side, mu_ held exclusively: bumps publish pressure and
-  /// rebuilds + publishes the chunk when it crosses the threshold.
-  void NotePublishPressureLocked();
-  void PublishChunkLocked();
-
   std::shared_ptr<const FrozenCatalog> frozen_;
   Options options_;
-  epoch::ReclaimMode mode_;
-  label::LabelerPipeline stateless_;  // pure fallback; const methods only
-  // Sharded, internally synchronized; only the ablated seed kernel probes
-  // it, so it is constructed only when that mode is selected.
-  std::unique_ptr<rewriting::ContainmentCache> cache_;
-
-  // Dynamic overlay write side (and, in locked mode, the reader side):
-  // QueryInterner::FindRaw/FindCanonical + memo probes under shared_lock,
-  // interning and labeling of novel structures under unique_lock. In EBR
-  // mode readers never touch mu_ — they probe the published chunk below.
-  // The mutex type counts shared acquisitions so tests can assert the EBR
-  // warm path takes zero reader-side locks.
+  // Dynamic overlay: QueryInterner::FindRaw/FindCanonical + memo probes
+  // under shared_lock, interning and memoizing of novel structures under
+  // unique_lock. The mutex type counts shared acquisitions so tests can
+  // check that only overlay probes take reader-side locks.
   mutable locks::CountedSharedMutex mu_;
   cq::QueryInterner interner_;
   std::unordered_map<int, label::DisclosureLabel> label_by_query_;
-  std::unordered_map<int, label::PackedAtomLabel> mask_by_pattern_;
-
-  // EBR overlay chunk: immutable snapshot of (raw form | canonical key) ->
-  // label, swapped atomically on publish; the old chunk is retired through
-  // epoch::Domain. Null until the first publish.
-  std::atomic<const OverlayChunk*> chunk_{nullptr};
-  // Guarded by mu_ (write side only).
-  size_t publish_pressure_ = 0;
-  size_t published_entries_ = 0;
 
   // Per-call counters, bumped by every caller thread. They start a cache
   // line of their own (and the alignment rounds the labeler's size to whole
@@ -282,9 +196,6 @@ class ConcurrentLabeler {
   std::atomic<uint64_t> batch_mask_evals_{0};
   std::atomic<uint64_t> simd_lanes_used_{0};
   std::atomic<uint64_t> per_view_tests_avoided_{0};
-  std::atomic<uint64_t> overlay_chunk_hits_{0};
-  std::atomic<uint64_t> overlay_chunk_publishes_{0};
-  std::atomic<uint64_t> overlay_chunk_entries_{0};
   std::atomic<uint64_t> overlay_reader_locks_{0};
   std::atomic<uint64_t> canonicalizations_{0};
 };

@@ -201,9 +201,6 @@ std::string StatsToJson(const DisclosureEngine::EngineStats& stats,
   w.Field("batch_mask_evals", stats.labeler.batch_mask_evals);
   w.Field("simd_lanes_used", stats.labeler.simd_lanes_used);
   w.Field("per_view_tests_avoided", stats.labeler.per_view_tests_avoided);
-  w.Field("overlay_chunk_hits", stats.labeler.overlay_chunk_hits);
-  w.Field("overlay_chunk_publishes", stats.labeler.overlay_chunk_publishes);
-  w.Field("overlay_chunk_entries", stats.labeler.overlay_chunk_entries);
   w.Field("overlay_reader_locks", stats.labeler.overlay_reader_locks);
   w.Field("canonicalizations", stats.labeler.canonicalizations);
   w.EndObject();
@@ -216,20 +213,10 @@ std::string StatsToJson(const DisclosureEngine::EngineStats& stats,
   w.Field("pattern_misses", stats.interner.pattern_misses);
   w.EndObject();
 
-  w.BeginObject("containment_cache");
-  w.Field("hits", stats.containment.hits);
-  w.Field("misses", stats.containment.misses);
-  w.Field("insertions", stats.containment.insertions);
-  w.Field("evictions", stats.containment.evictions);
-  w.Field("hom_scratch_reuses", stats.containment.hom_scratch_reuses);
-  w.EndObject();
-
   w.Field("fold_scratch_reuses", stats.fold_scratch_reuses);
   w.StringField("simd_isa", simd::IsaName(simd::ActiveIsa()));
 
   w.BeginObject("ebr");
-  w.StringField("mode", stats.reclaim == epoch::ReclaimMode::kEbr ? "ebr"
-                                                                  : "locked");
   w.Field("epoch", stats.ebr.epoch);
   w.Field("retired", stats.ebr.retired);
   w.Field("freed", stats.ebr.freed);

@@ -14,15 +14,14 @@
 //    "labeler": {"frozen_hits": ..., "overlay_hits": ..., "overlay_misses":
 //      ..., "stateless_fallbacks": ..., "compiled_mask_evals": ...,
 //      "wide_mask_evals": ..., "batch_mask_evals": ..., "simd_lanes_used":
-//      ..., "per_view_tests_avoided": ..., "overlay_chunk_hits": ...,
-//      "overlay_chunk_publishes": ..., "overlay_chunk_entries": ...,
-//      "overlay_reader_locks": ..., "canonicalizations": ...},
+//      ..., "per_view_tests_avoided": ..., "overlay_reader_locks": ...,
+//      "canonicalizations": ...},
 //    "interner": {"query_hits": ..., "query_misses": ..., "raw_hits": ...,
 //      "pattern_hits": ..., "pattern_misses": ...},
-//    "containment_cache": {"hits": ..., "misses": ..., "insertions": ...,
-//      "evictions": ..., "hom_scratch_reuses": ...},
 //    "fold_scratch_reuses": ...,
 //    "simd_isa": "avx2",
+//    "ebr": {"epoch": ..., "retired": ..., "freed": ..., "pending": ...,
+//      "advances": ...},
 //    "shadow": {"enabled": false, "epoch": ..., "policy_name": "...",
 //      "evaluated": ..., "agree": ..., "shadow_stricter": ...,
 //      "shadow_looser": ...}}

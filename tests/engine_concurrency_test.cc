@@ -13,17 +13,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/epoch.h"
 #include "common/locks.h"
 #include "engine/principal_map.h"
 
 #include "fb/fb_schema.h"
 #include "fb/fb_views.h"
+#include "label/pipeline.h"
+#include "policy/reference_monitor.h"
 #include "test_util.h"
 #include "workload/policy_generator.h"
 #include "workload/query_generator.h"
@@ -338,13 +340,13 @@ TEST(EngineConcurrencyTest, SamePrincipalSubmitsAreAValidSerialization) {
   EXPECT_EQ(final_state, expected_final);
 }
 
-// EBR-specific stress (PR 10): readers label warm AND novel queries through
+// EBR stress: readers label warm AND novel queries through
 // Submit/SubmitBatch/SubmitCoalesced while a writer loop churns every
 // retire source at once — UpdatePolicy (snapshot retire), SetShadowPolicy/
-// ClearShadowPolicy (shadow snapshot retire), overlay growth with
-// overlay_min_publish=1 (chunk swap + retire on nearly every novel label),
-// and SweepPrincipals. Run under TSan and ASan by CI; a use-after-retire
-// would surface there, and decision-counter balance is checked here.
+// ClearShadowPolicy (shadow snapshot retire) — alongside overlay growth
+// under the labeler's writer lock and SweepPrincipals. Run under TSan and
+// ASan by CI; a use-after-retire would surface there, and decision-counter
+// balance is checked here.
 TEST(EngineConcurrencyTest, EbrReadersRaceRetiresAcrossAllLayers) {
   FbFixture fb;
   policy::SecurityPolicy policy_a =
@@ -355,17 +357,14 @@ TEST(EngineConcurrencyTest, EbrReadersRaceRetiresAcrossAllLayers) {
       workload::PolicyGenerator(&fb.catalog, {}, 0xebefULL).Next();
   const auto warm_pool = RandomWorkload(&fb.schema, 2, 64, 0x600dULL);
   // Disjoint per-thread novel slices: every novel label grows the overlay
-  // and (with min_publish=1) swaps + retires an overlay chunk.
+  // under its writer lock while other readers probe it.
   const auto novel_pool = RandomWorkload(&fb.schema, 2, 512, 0xbadcab1eULL);
 
   EngineOptions options;
-  options.reclaim = epoch::ReclaimChoice::kEbr;
-  options.labeler.overlay_min_publish = 1;
   options.principals.shards = 4;
   options.principals.max_principals = 16;
   options.principals.idle_ttl_ticks = 1;
   DisclosureEngine engine(/*db=*/nullptr, &fb.catalog, policy_a, options);
-  ASSERT_EQ(engine.reclaim_mode(), epoch::ReclaimMode::kEbr);
 
   constexpr int kThreads = 4;
   constexpr int kItersPerThread = 300;
@@ -379,7 +378,7 @@ TEST(EngineConcurrencyTest, EbrReadersRaceRetiresAcrossAllLayers) {
       const size_t novel_end = novel_at + novel_pool.size() / kThreads;
       auto next_query = [&]() -> const cq::ConjunctiveQuery& {
         // ~1 in 4 submissions is novel until the slice runs dry; the rest
-        // stay warm so chunk hits and chunk swaps interleave constantly.
+        // stay warm so overlay reads and writes interleave constantly.
         if (novel_at < novel_end && rng.Chance(0.25)) {
           return novel_pool[novel_at++];
         }
@@ -433,9 +432,9 @@ TEST(EngineConcurrencyTest, EbrReadersRaceRetiresAcrossAllLayers) {
   const DisclosureEngine::EngineStats stats = engine.Stats();
   EXPECT_EQ(stats.submitted, stats.accepted + stats.refused);
   EXPECT_EQ(stats.submitted, decided.load());
-  EXPECT_EQ(stats.reclaim, epoch::ReclaimMode::kEbr);
-  // The writer loop actually exercised every retire source.
-  EXPECT_GT(stats.labeler.overlay_chunk_publishes, 0u);
+  // Both overlay sides ran, and the writer loop retired snapshots.
+  EXPECT_GT(stats.labeler.overlay_hits, 0u);
+  EXPECT_GT(stats.labeler.overlay_misses, 0u);
   EXPECT_GT(stats.ebr.retired, 0u);
   EXPECT_GT(stats.ebr.freed, 0u);
   // Quiesced: every principal is answerable under the final epoch.
@@ -444,14 +443,15 @@ TEST(EngineConcurrencyTest, EbrReadersRaceRetiresAcrossAllLayers) {
   }
 }
 
-// Differential oracle (PR 10): the EBR read path must be decision-for-
-// decision bit-identical to the locked path. Two engines — explicit kEbr
-// vs explicit kLocked — consume the same randomized single-threaded
-// stream (singles, batches, coalesced groups, policy swaps, shadow
-// set/clear at the same points); every decision vector, every principal's
-// final consistency mask, the policy epoch and the shadow divergence
-// counters must match exactly.
-TEST(EngineConcurrencyTest, EbrDecisionsMatchLockedOracleBitIdentical) {
+// Differential oracle: the engine must be decision-for-decision
+// bit-identical to the seed LabelingPipeline + policy::ReferenceMonitor
+// path on a randomized single-threaded stream of singles, batches,
+// coalesced groups, policy swaps and shadow set/clear. The seed model
+// resets every principal's state at each UpdatePolicy (consistency bits
+// never transfer across policies), and a second seed monitor on the shadow
+// policy — reset at each SetShadowPolicy — predicts every shadow verdict,
+// so the agree/stricter/looser counters must match too.
+TEST(EngineConcurrencyTest, DecisionsMatchSeedMonitorBitIdentical) {
   FbFixture fb;
   policy::SecurityPolicy policy_a =
       workload::PolicyGenerator(&fb.catalog, {}, 0xd1f01ULL).Next();
@@ -461,34 +461,64 @@ TEST(EngineConcurrencyTest, EbrDecisionsMatchLockedOracleBitIdentical) {
       workload::PolicyGenerator(&fb.catalog, {}, 0xd1f03ULL).Next();
   const auto pool = RandomWorkload(&fb.schema, 2, 256, 0xd1f04ULL);
 
-  EngineOptions ebr_options;
-  ebr_options.reclaim = epoch::ReclaimChoice::kEbr;
-  ebr_options.labeler.overlay_min_publish = 1;  // exercise the chunk path
-  EngineOptions locked_options;
-  locked_options.reclaim = epoch::ReclaimChoice::kLocked;
-  DisclosureEngine ebr(/*db=*/nullptr, &fb.catalog, policy_a, ebr_options);
-  DisclosureEngine locked(/*db=*/nullptr, &fb.catalog, policy_a,
-                          locked_options);
-  ASSERT_EQ(ebr.reclaim_mode(), epoch::ReclaimMode::kEbr);
-  ASSERT_EQ(locked.reclaim_mode(), epoch::ReclaimMode::kLocked);
+  DisclosureEngine engine(/*db=*/nullptr, &fb.catalog, policy_a);
+
+  // The seed model: one pipeline for labels, one monitor per policy, and
+  // lazily (re)initialized per-principal states.
+  label::LabelingPipeline pipeline(&fb.catalog);
+  policy::ReferenceMonitor live_monitor(&policy_a);
+  const policy::ReferenceMonitor shadow_monitor(&shadow);
+  std::map<std::string, policy::PrincipalState> live_states;
+  std::map<std::string, policy::PrincipalState> shadow_states;
+  bool shadow_on = false;
+  uint64_t next_epoch = 2;
+  uint64_t live_epoch = 1;
+  uint64_t agree = 0, stricter = 0, looser = 0;
+  auto state_of = [](std::map<std::string, policy::PrincipalState>* states,
+                     const policy::ReferenceMonitor& monitor,
+                     const std::string& principal) {
+    return &states->try_emplace(principal, monitor.InitialState())
+                .first->second;
+  };
+  // One request through the model: live decision, then the shadow verdict.
+  auto seed_submit = [&](const std::string& principal,
+                         const cq::ConjunctiveQuery& query) {
+    const label::DisclosureLabel label = pipeline.Label(query);
+    const bool live = live_monitor.Submit(
+        state_of(&live_states, live_monitor, principal), label);
+    if (shadow_on) {
+      const bool candidate = shadow_monitor.Submit(
+          state_of(&shadow_states, shadow_monitor, principal), label);
+      if (candidate == live) {
+        ++agree;
+      } else if (live) {
+        ++stricter;
+      } else {
+        ++looser;
+      }
+    }
+    return live;
+  };
 
   constexpr int kPrincipals = 6;
   constexpr int kSteps = 1200;
   auto name_of = [](uint64_t p) { return "diff-" + std::to_string(p); };
   Rng rng(0xd1f05ULL);
-  bool shadow_on = false;
   for (int step = 0; step < kSteps; ++step) {
     if (step % 97 == 42) {
       const auto& next = (step / 97) % 2 == 0 ? policy_b : policy_a;
-      EXPECT_EQ(ebr.UpdatePolicy(next), locked.UpdatePolicy(next));
+      live_monitor = policy::ReferenceMonitor(&next);
+      live_states.clear();
+      live_epoch = next_epoch++;
+      EXPECT_EQ(engine.UpdatePolicy(next), live_epoch);
     }
     if (step % 131 == 7) {
       if (shadow_on) {
-        ebr.ClearShadowPolicy();
-        locked.ClearShadowPolicy();
+        engine.ClearShadowPolicy();
       } else {
-        EXPECT_EQ(ebr.SetShadowPolicy(shadow, "diff-shadow"),
-                  locked.SetShadowPolicy(shadow, "diff-shadow"));
+        shadow_states.clear();
+        EXPECT_EQ(engine.SetShadowPolicy(shadow, "diff-shadow"),
+                  next_epoch++);
       }
       shadow_on = !shadow_on;
     }
@@ -499,9 +529,13 @@ TEST(EngineConcurrencyTest, EbrDecisionsMatchLockedOracleBitIdentical) {
       for (int j = 0; j < span; ++j) {
         batch.push_back(pool[rng.Below(pool.size())]);
       }
-      const auto batch_span = std::span(batch.data(), batch.size());
-      EXPECT_EQ(ebr.SubmitBatch(principal, batch_span),
-                locked.SubmitBatch(principal, batch_span))
+      std::vector<bool> want;
+      for (const cq::ConjunctiveQuery& query : batch) {
+        want.push_back(seed_submit(principal, query));
+      }
+      EXPECT_EQ(engine.SubmitBatch(principal,
+                                   std::span(batch.data(), batch.size())),
+                want)
           << "batch diverged at step " << step;
     } else if (rng.Chance(0.15)) {
       std::vector<cq::ConjunctiveQuery> queries;
@@ -511,100 +545,117 @@ TEST(EngineConcurrencyTest, EbrDecisionsMatchLockedOracleBitIdentical) {
         names.push_back(name_of(rng.Below(kPrincipals)));
       }
       std::vector<DisclosureEngine::SubmitRequest> requests(4);
+      std::vector<bool> want;
       for (int j = 0; j < 4; ++j) {
         requests[j].principal = names[j];
         requests[j].query = &queries[j];
+        want.push_back(seed_submit(names[j], queries[j]));
       }
-      std::vector<bool> ebr_out, locked_out;
-      ebr.SubmitCoalesced(std::span(requests.data(), 4), &ebr_out);
-      locked.SubmitCoalesced(std::span(requests.data(), 4), &locked_out);
-      EXPECT_EQ(ebr_out, locked_out) << "coalesced diverged at step " << step;
+      std::vector<bool> got;
+      std::vector<uint64_t> epochs;
+      engine.SubmitCoalesced(std::span(requests.data(), 4), &got, &epochs);
+      EXPECT_EQ(got, want) << "coalesced diverged at step " << step;
+      EXPECT_EQ(epochs, std::vector<uint64_t>(4, live_epoch));
     } else {
       const auto& query = pool[rng.Below(pool.size())];
-      EXPECT_EQ(ebr.Submit(principal, query), locked.Submit(principal, query))
+      const bool want = seed_submit(principal, query);
+      EXPECT_EQ(engine.Submit(principal, query), want)
           << "submit diverged at step " << step;
     }
   }
 
   for (int p = 0; p < kPrincipals; ++p) {
-    EXPECT_EQ(ebr.ConsistentPartitions(name_of(p)),
-              locked.ConsistentPartitions(name_of(p)));
+    EXPECT_EQ(engine.ConsistentPartitions(name_of(p)),
+              state_of(&live_states, live_monitor, name_of(p))->consistent);
   }
-  const auto ebr_stats = ebr.Stats();
-  const auto locked_stats = locked.Stats();
-  EXPECT_EQ(ebr_stats.epoch, locked_stats.epoch);
-  EXPECT_EQ(ebr_stats.submitted, locked_stats.submitted);
-  EXPECT_EQ(ebr_stats.accepted, locked_stats.accepted);
-  EXPECT_EQ(ebr_stats.refused, locked_stats.refused);
-  EXPECT_EQ(ebr_stats.shadow.evaluated, locked_stats.shadow.evaluated);
-  EXPECT_EQ(ebr_stats.shadow.agree, locked_stats.shadow.agree);
-  EXPECT_EQ(ebr_stats.shadow.shadow_stricter,
-            locked_stats.shadow.shadow_stricter);
-  EXPECT_EQ(ebr_stats.shadow.shadow_looser, locked_stats.shadow.shadow_looser);
-  // The differential is only meaningful if the EBR engine actually served
-  // from the lock-free chunk tier.
-  EXPECT_GT(ebr_stats.labeler.overlay_chunk_hits, 0u);
+  const auto stats = engine.Stats();
+  EXPECT_EQ(stats.epoch, live_epoch);
+  EXPECT_EQ(stats.shadow.enabled, shadow_on);
+  EXPECT_EQ(stats.shadow.agree, agree);
+  EXPECT_EQ(stats.shadow.shadow_stricter, stricter);
+  EXPECT_EQ(stats.shadow.shadow_looser, looser);
+  EXPECT_EQ(stats.shadow.evaluated, agree + stricter + looser);
+  // The stream must have exercised both overlay sides, both policies'
+  // monitors and a real shadow divergence, or the comparison is vacuous.
+  EXPECT_GT(stats.labeler.overlay_hits, 0u);
+  EXPECT_GT(stats.labeler.overlay_misses, 0u);
+  EXPECT_GT(stats.accepted, 0u);
+  EXPECT_GT(stats.refused, 0u);
+  EXPECT_GT(agree, 0u);
+  EXPECT_GT(stricter + looser, 0u);
 }
 
-// The acceptance property of the whole refactor: with FDC_EPOCH=ebr (forced
-// explicitly here so the test is env-independent), warm-path Submit /
-// SubmitBatch / SubmitCoalesced perform ZERO reader-side mutex or
-// shared_mutex acquisitions — measured by the thread-local
-// locks::ReaderLockAcquisitions() counter that every counted lock in the
-// read path reports into. The locked oracle engine runs the identical
-// sequence as a sanity check that the counter actually counts.
-TEST(EngineConcurrencyTest, WarmPathTakesZeroReaderLocksUnderEbr) {
+// Runs the same warm traffic through all three entry points.
+void RunWarmTraffic(DisclosureEngine& engine,
+                    const std::vector<cq::ConjunctiveQuery>& pool) {
+  for (const cq::ConjunctiveQuery& query : pool) {
+    (void)engine.Submit("locks-single", query);
+  }
+  (void)engine.SubmitBatch("locks-batch", std::span(pool.data(), pool.size()));
+  std::vector<DisclosureEngine::SubmitRequest> requests(pool.size());
+  for (size_t q = 0; q < pool.size(); ++q) {
+    requests[q].principal = "locks-coalesced";
+    requests[q].query = &pool[q];
+  }
+  std::vector<bool> decisions;
+  engine.SubmitCoalesced(std::span(requests.data(), requests.size()),
+                         &decisions);
+}
+
+// The read path's lock budget, measured by the thread-local
+// locks::ReaderLockAcquisitions() counter that every counted lock reports
+// into. Frozen-tier traffic through Submit / SubmitBatch / SubmitCoalesced
+// — live and shadow snapshot loads included — takes ZERO reader-side
+// locks: snapshots are epoch-pinned raw-pointer loads and frozen labels
+// are lock-free.
+TEST(EngineConcurrencyTest, FrozenWarmPathTakesZeroReaderLocks) {
   FbFixture fb;
   policy::SecurityPolicy policy =
       workload::PolicyGenerator(&fb.catalog, {}, 0x10cc5ULL).Next();
   const auto pool = RandomWorkload(&fb.schema, 2, 48, 0x10cc6ULL);
+  DisclosureEngine engine(/*db=*/nullptr, &fb.catalog, policy, {},
+                          std::span(pool.data(), pool.size()));
+  engine.SetShadowPolicy(
+      workload::PolicyGenerator(&fb.catalog, {}, 0x10cc7ULL).Next());
+  RunWarmTraffic(engine, pool);  // principals' first slots: writer side
 
-  auto run_warm_traffic = [&](DisclosureEngine& engine) {
-    for (size_t q = 0; q < pool.size(); ++q) {
-      (void)engine.Submit("locks-single", pool[q]);
-    }
-    std::vector<cq::ConjunctiveQuery> batch(pool.begin(), pool.end());
-    (void)engine.SubmitBatch("locks-batch",
-                             std::span(batch.data(), batch.size()));
-    std::vector<DisclosureEngine::SubmitRequest> requests(pool.size());
-    for (size_t q = 0; q < pool.size(); ++q) {
-      requests[q].principal = "locks-coalesced";
-      requests[q].query = &pool[q];
-    }
-    std::vector<bool> decisions;
-    engine.SubmitCoalesced(std::span(requests.data(), requests.size()),
-                           &decisions);
-  };
+  const DisclosureEngine::EngineStats before = engine.Stats();
+  const uint64_t locks_before = locks::ReaderLockAcquisitions();
+  RunWarmTraffic(engine, pool);
+  const uint64_t locks_delta = locks::ReaderLockAcquisitions() - locks_before;
+  const DisclosureEngine::EngineStats after = engine.Stats();
+  EXPECT_EQ(locks_delta, 0u) << "warm path took reader-side locks";
+  EXPECT_EQ(after.labeler.frozen_hits - before.labeler.frozen_hits,
+            3 * pool.size());
+  EXPECT_EQ(after.labeler.overlay_reader_locks,
+            before.labeler.overlay_reader_locks);
+  EXPECT_EQ(after.shadow.evaluated - before.shadow.evaluated, 3 * pool.size());
+}
 
-  // EBR leg: with overlay_min_publish=1 every novel label publishes a
-  // fresh chunk, so after one warm pass the entire pool is chunk-resident
-  // and the measured pass is pure lock-free tier for labeling AND an
-  // epoch-pinned raw-pointer load for the snapshot.
-  EngineOptions ebr_options;
-  ebr_options.reclaim = epoch::ReclaimChoice::kEbr;
-  ebr_options.labeler.overlay_min_publish = 1;
-  DisclosureEngine ebr(/*db=*/nullptr, &fb.catalog, policy, ebr_options);
-  run_warm_traffic(ebr);  // warm-up pass (takes writer locks: uncounted)
-  const uint64_t ebr_before = locks::ReaderLockAcquisitions();
-  run_warm_traffic(ebr);
-  const uint64_t ebr_delta = locks::ReaderLockAcquisitions() - ebr_before;
-  EXPECT_EQ(ebr_delta, 0u)
-      << "EBR warm path took reader-side lock acquisitions";
-  EXPECT_EQ(ebr.Stats().labeler.overlay_reader_locks, 0u);
-  EXPECT_GT(ebr.Stats().labeler.overlay_chunk_hits, 0u);
+// Overlay-warm traffic takes reader locks — one per overlay level probed —
+// and the counter sees every one of them: the delta equals the labeler's
+// overlay_reader_locks delta and is nonzero, so the zero above is not a
+// dead counter.
+TEST(EngineConcurrencyTest, OverlayWarmPathCountsEveryReaderLock) {
+  FbFixture fb;
+  policy::SecurityPolicy policy =
+      workload::PolicyGenerator(&fb.catalog, {}, 0x10cc5ULL).Next();
+  const auto pool = RandomWorkload(&fb.schema, 2, 48, 0x10cc6ULL);
+  DisclosureEngine engine(/*db=*/nullptr, &fb.catalog, policy);
+  RunWarmTraffic(engine, pool);  // memoizes the pool in the overlay
 
-  // Locked oracle leg: the identical sequence must report reader locks,
-  // proving the counter is live (i.e. the EBR zero is not vacuous).
-  EngineOptions locked_options;
-  locked_options.reclaim = epoch::ReclaimChoice::kLocked;
-  DisclosureEngine locked(/*db=*/nullptr, &fb.catalog, policy, locked_options);
-  run_warm_traffic(locked);
-  const uint64_t locked_before = locks::ReaderLockAcquisitions();
-  run_warm_traffic(locked);
-  const uint64_t locked_delta = locks::ReaderLockAcquisitions() - locked_before;
-  EXPECT_GT(locked_delta, 0u)
-      << "counter dead: locked warm path reported zero reader locks";
-  EXPECT_GT(locked.Stats().labeler.overlay_reader_locks, 0u);
+  const DisclosureEngine::EngineStats before = engine.Stats();
+  const uint64_t locks_before = locks::ReaderLockAcquisitions();
+  RunWarmTraffic(engine, pool);
+  const uint64_t locks_delta = locks::ReaderLockAcquisitions() - locks_before;
+  const DisclosureEngine::EngineStats after = engine.Stats();
+  EXPECT_GT(locks_delta, 0u) << "counter dead: overlay probes reported none";
+  EXPECT_EQ(locks_delta, after.labeler.overlay_reader_locks -
+                             before.labeler.overlay_reader_locks);
+  // Every label came from the frozen tier (the catalog's own view
+  // queries) or an overlay hit.
+  EXPECT_EQ(after.labeler.overlay_misses, before.labeler.overlay_misses);
+  EXPECT_GT(after.labeler.overlay_hits, before.labeler.overlay_hits);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/epoch.h"
 #include "cq/canonical.h"
 #include "engine/labeler.h"
 #include "fb/fb_schema.h"
@@ -372,30 +371,12 @@ TEST(EngineEquivalenceTest, FrozenCatalogClosureMatchesDirect) {
   }
 }
 
-// ---- Labeler tiers under both reclaim modes -------------------------------
-//
-// Every test below runs with the overlay read side forced to EBR and to the
-// locked oracle (the FDC_EPOCH=locked path), independent of the environment.
+// ---- Labeler tiers ----------------------------------------------------------
 
-class LabelerModeTest : public ::testing::TestWithParam<epoch::ReclaimChoice> {
+class LabelerTierTest : public ::testing::Test {
  protected:
-  ConcurrentLabeler::Options Options() const {
-    ConcurrentLabeler::Options options;
-    options.reclaim = GetParam();
-    return options;
-  }
-
   FbFixture fb_;
 };
-
-INSTANTIATE_TEST_SUITE_P(
-    Modes, LabelerModeTest,
-    ::testing::Values(epoch::ReclaimChoice::kEbr,
-                      epoch::ReclaimChoice::kLocked),
-    [](const ::testing::TestParamInfo<epoch::ReclaimChoice>& info) {
-      return info.param == epoch::ReclaimChoice::kEbr ? std::string("Ebr")
-                                                      : std::string("Locked");
-    });
 
 // Two Album selections whose constant lists once printed alike in the
 // structural keys (the quote inside a Datalog constant was not escaped):
@@ -405,7 +386,7 @@ constexpr const char* kSelfAlbum =
 constexpr const char* kTopAlbum =
     R"(Q(a) :- Album(a, u, "self','B", "C", l, t))";
 
-TEST_P(LabelerModeTest, QuotedConstantsNeverInheritAnotherLabel) {
+TEST_F(LabelerTierTest, QuotedConstantsNeverInheritAnotherLabel) {
   const cq::ConjunctiveQuery self_q = test::Q(kSelfAlbum, fb_.schema);
   const cq::ConjunctiveQuery top_q = test::Q(kTopAlbum, fb_.schema);
   // Each query's own label, from pipelines with empty memos.
@@ -424,16 +405,15 @@ TEST_P(LabelerModeTest, QuotedConstantsNeverInheritAnotherLabel) {
   // Frozen tier: the first query froze with the warmup set.
   {
     ConcurrentLabeler labeler(
-        FrozenCatalog::Build(&fb_.catalog, std::span(&self_q, 1)), Options());
+        FrozenCatalog::Build(&fb_.catalog, std::span(&self_q, 1)));
     EXPECT_EQ(labeler.Label(top_q), top_label);
     EXPECT_EQ(labeler.Label(self_q), self_label);
   }
-  // Overlay: memoized on the write side, then (EBR) in a published chunk.
-  for (const bool publish : {false, true}) {
-    ConcurrentLabeler labeler(FrozenCatalog::Build(&fb_.catalog), Options());
+  // Overlay: the first query memoized on the write side.
+  {
+    ConcurrentLabeler labeler(FrozenCatalog::Build(&fb_.catalog));
     EXPECT_EQ(labeler.Label(self_q), self_label);
-    if (publish) labeler.PublishOverlayChunk();
-    EXPECT_EQ(labeler.Label(top_q), top_label) << "publish=" << publish;
+    EXPECT_EQ(labeler.Label(top_q), top_label);
     const cq::ConjunctiveQuery batch[] = {self_q, top_q};
     const std::vector<label::DisclosureLabel> labels =
         labeler.LabelBatch(std::span<const cq::ConjunctiveQuery>(batch));
@@ -442,7 +422,7 @@ TEST_P(LabelerModeTest, QuotedConstantsNeverInheritAnotherLabel) {
   }
 }
 
-TEST_P(LabelerModeTest, QuotedConstantsLabelTopInEitherAtomOrder) {
+TEST_F(LabelerTierTest, QuotedConstantsLabelTopInEitherAtomOrder) {
   // The same two atoms in one query: Dissect must keep both, so the
   // unanswerable one makes the whole label ⊤ whichever comes first.
   const cq::ConjunctiveQuery orders[] = {
@@ -458,8 +438,8 @@ TEST_P(LabelerModeTest, QuotedConstantsLabelTopInEitherAtomOrder) {
   }
   // Frozen tier (one order warm, the other probing it) and overlay.
   ConcurrentLabeler frozen(
-      FrozenCatalog::Build(&fb_.catalog, std::span(orders, 1)), Options());
-  ConcurrentLabeler overlay(FrozenCatalog::Build(&fb_.catalog), Options());
+      FrozenCatalog::Build(&fb_.catalog, std::span(orders, 1)));
+  ConcurrentLabeler overlay(FrozenCatalog::Build(&fb_.catalog));
   for (const cq::ConjunctiveQuery& query : orders) {
     EXPECT_TRUE(frozen.Label(query).top());
     EXPECT_TRUE(overlay.Label(query).top());
@@ -467,8 +447,9 @@ TEST_P(LabelerModeTest, QuotedConstantsLabelTopInEitherAtomOrder) {
 }
 
 // The labeler probes both tiers at the raw level before computing any
-// canonical form, and computes at most one per query.
-TEST_P(LabelerModeTest, RawLevelsFirstThenOneCanonicalization) {
+// canonical form, and computes at most one per query. Only overlay levels
+// take the reader lock: one per level probed.
+TEST_F(LabelerTierTest, RawLevelsFirstThenOneCanonicalization) {
   auto q = [&](const char* text) { return test::Q(text, fb_.schema); };
   const cq::ConjunctiveQuery warm = q(
       R"(Q(a, p) :- Album(a, u, "self", n, l, t), )"
@@ -495,9 +476,7 @@ TEST_P(LabelerModeTest, RawLevelsFirstThenOneCanonicalization) {
   }
 
   ConcurrentLabeler labeler(FrozenCatalog::Build(&fb_.catalog,
-                                                 std::span(&warm, 1)),
-                            Options());
-  const bool ebr = labeler.reclaim_mode() == epoch::ReclaimMode::kEbr;
+                                                 std::span(&warm, 1)));
   label::LabelingPipeline seed(&fb_.catalog);
   ConcurrentLabeler::Stats before = labeler.stats();
   // Label one query and return the counter deltas it caused.
@@ -508,8 +487,8 @@ TEST_P(LabelerModeTest, RawLevelsFirstThenOneCanonicalization) {
     delta.frozen_hits = after.frozen_hits - before.frozen_hits;
     delta.overlay_hits = after.overlay_hits - before.overlay_hits;
     delta.overlay_misses = after.overlay_misses - before.overlay_misses;
-    delta.overlay_chunk_hits =
-        after.overlay_chunk_hits - before.overlay_chunk_hits;
+    delta.overlay_reader_locks =
+        after.overlay_reader_locks - before.overlay_reader_locks;
     delta.canonicalizations =
         after.canonicalizations - before.canonicalizations;
     before = after;
@@ -519,22 +498,24 @@ TEST_P(LabelerModeTest, RawLevelsFirstThenOneCanonicalization) {
   ConcurrentLabeler::Stats d = label_one(warm);  // frozen raw
   EXPECT_EQ(d.frozen_hits, 1u);
   EXPECT_EQ(d.canonicalizations, 0u);
+  EXPECT_EQ(d.overlay_reader_locks, 0u);
   d = label_one(warm_variant);  // frozen canonical
   EXPECT_EQ(d.frozen_hits, 1u);
   EXPECT_EQ(d.canonicalizations, 1u);
+  EXPECT_EQ(d.overlay_reader_locks, 1u);  // the overlay raw miss
   d = label_one(novel);  // every tier misses: exactly one canonical form
   EXPECT_EQ(d.overlay_misses, 1u);
   EXPECT_EQ(d.canonicalizations, 1u);
+  EXPECT_EQ(d.overlay_reader_locks, 2u);
 
-  labeler.PublishOverlayChunk();  // no-op in locked mode
-  d = label_one(novel);  // overlay raw: chunk (EBR) or reader-locked memo
+  d = label_one(novel);  // overlay raw
   EXPECT_EQ(d.overlay_hits, 1u);
-  EXPECT_EQ(d.overlay_chunk_hits, ebr ? 1u : 0u);
   EXPECT_EQ(d.canonicalizations, 0u);
+  EXPECT_EQ(d.overlay_reader_locks, 1u);
   d = label_one(novel_variant);  // overlay canonical
   EXPECT_EQ(d.overlay_hits, 1u);
-  EXPECT_EQ(d.overlay_chunk_hits, ebr ? 1u : 0u);
   EXPECT_EQ(d.canonicalizations, 1u);
+  EXPECT_EQ(d.overlay_reader_locks, 2u);
 
   // LabelBatch walks the same tiers per query.
   const cq::ConjunctiveQuery batch[] = {warm, warm_variant, novel,
@@ -547,8 +528,6 @@ TEST_P(LabelerModeTest, RawLevelsFirstThenOneCanonicalization) {
   const ConcurrentLabeler::Stats after = labeler.stats();
   EXPECT_EQ(after.frozen_hits - before.frozen_hits, 2u);
   EXPECT_EQ(after.overlay_hits - before.overlay_hits, 2u);
-  EXPECT_EQ(after.overlay_chunk_hits - before.overlay_chunk_hits,
-            ebr ? 2u : 0u);
   EXPECT_EQ(after.overlay_misses - before.overlay_misses, 1u);
   EXPECT_EQ(after.canonicalizations - before.canonicalizations, 3u);
 }

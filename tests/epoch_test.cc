@@ -1,5 +1,5 @@
 // Unit and stress tests for the epoch-based reclamation domain
-// (common/epoch.h) — the foundation under the engine's wait-free read path.
+// (common/epoch.h) — the foundation under the engine's snapshot read path.
 // The use-after-retire canary is the ASan-facing proof: a retired object's
 // deleter poisons a magic word before freeing, so a reader that could ever
 // observe reclaimed memory fails the magic check (and trips ASan on the
@@ -33,15 +33,6 @@ struct Canary {
     }
   }
 };
-
-TEST(EpochTest, ResolveHonorsExplicitChoice) {
-  EXPECT_EQ(Resolve(ReclaimChoice::kLocked), ReclaimMode::kLocked);
-  EXPECT_EQ(Resolve(ReclaimChoice::kEbr), ReclaimMode::kEbr);
-  // kAuto defers to FDC_EPOCH; either answer is valid, but it must be the
-  // process-wide default and stable across calls.
-  EXPECT_EQ(Resolve(ReclaimChoice::kAuto), DefaultReclaimMode());
-  EXPECT_EQ(DefaultReclaimMode(), DefaultReclaimMode());
-}
 
 TEST(EpochTest, RetireWithoutReadersFreesOnDrain) {
   Domain& domain = Domain::Instance();

@@ -310,9 +310,14 @@ TEST(StatsJsonTest, EngineStatsSerializeToValidJson) {
   EXPECT_TRUE(JsonValidator(json).Validate()) << json;
   for (const char* key :
        {"\"epoch\"", "\"decisions\"", "\"submitted\"", "\"labeler\"",
-        "\"interner\"", "\"containment_cache\"", "\"simd_isa\"",
-        "\"shadow\"", "\"canonicalizations\""}) {
+        "\"interner\"", "\"simd_isa\"", "\"ebr\"", "\"shadow\"",
+        "\"canonicalizations\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
+  }
+  // Fields removed with the engine's containment cache and overlay chunk.
+  for (const char* key :
+       {"\"containment_cache\"", "\"overlay_chunk_", "\"mode\""}) {
+    EXPECT_EQ(json.find(key), std::string::npos) << key;
   }
 }
 
