@@ -8,9 +8,8 @@
 //     and scanned against the view catalog from scratch, then submitted to
 //     the monitor one at a time (LabelingPipeline ablate_interning mode).
 //   * batched — the intern → index → memoize → batch path: queries are
-//     hash-consed, whole-query labels memoized, batches bucketed by
-//     interned id, and monitor submits deduplicated (LabelBatch +
-//     SubmitBatch).
+//     hash-consed, whole-query labels memoized, and batches bucketed by
+//     interned id (LabelBatch), then each label goes through Submit.
 // The acceptance target for this layer is ≥ 5× on the batched series;
 // bench/run_benchmarks.sh computes the ratio into BENCH_hotpath.json.
 #include <benchmark/benchmark.h>
@@ -88,15 +87,17 @@ void BM_Batched(benchmark::State& state) {
     if (i + kBatchSize > pool.size()) i = 0;
     principal = monitor.InitialState();
     std::span<const cq::ConjunctiveQuery> batch(pool.data() + i, kBatchSize);
-    benchmark::DoNotOptimize(
-        monitor.SubmitBatch(&principal, pipeline.LabelBatch(batch)));
+    for (const label::DisclosureLabel& label : pipeline.LabelBatch(batch)) {
+      benchmark::DoNotOptimize(monitor.Submit(&principal, label));
+    }
     i += kBatchSize;
   }
   ReportRate(state, kBatchSize);
 }
 
-// Ablation between the two: interning + memoized labels, but per-query
-// monitor submits — isolates how much of the win each layer contributes.
+// Ablation between the two: interning + memoized labels, but one Label
+// call per query instead of LabelBatch — isolates how much of the win each
+// labeling layer contributes.
 void BM_InternedPerQuerySubmit(benchmark::State& state) {
   const int subqueries = static_cast<int>(state.range(0)) / 3;
   const auto& pool = PoolFor(subqueries);

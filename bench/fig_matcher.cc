@@ -19,16 +19,15 @@
 //
 // The batched sweep (MatcherBatch/*) keeps the wide catalogs (64 / 128
 // views per relation) and varies the batch size 1 → 512: per_atom runs
-// MatchMaskWords once per pattern (the PR-4 shape), scalar runs
-// MatchMaskBatch with vector dispatch forced off, simd runs it under the
-// detected ISA. The per-relation pools are contiguous AtomPattern arrays —
-// exactly what LabelBatch's buckets hand the kernel — so the ratio
-// isolates batch structure (shared probes, position-major AND passes) from
-// vectorization (the scalar→simd gap).
+// MatchMaskWords once per pattern (the PR-4 shape), scalar runs the
+// (scalar-only) MatchMaskBatch kernel. The per-relation pools are
+// contiguous AtomPattern arrays — exactly what LabelBatch's buckets hand
+// the kernel — so the ratio isolates batch structure (shared probes,
+// fused per-pattern loops).
 //
 // bench/run_benchmarks.sh folds the ratios into BENCH_hotpath.json as
 // matcher_compiled_vs_seed/views/N, matcher_wide_vs_seed/vpr/N, and
-// matcher_batch_vs_scalar/vpr/N/batch/B; the acceptance floors are ≥ 3× at
+// matcher_batch_vs_per_atom/vpr/N/batch/B; the acceptance floors are ≥ 3× at
 // 64 views (packed sweep), ≥ 3× at 64 views/relation (wide sweep), and
 // ≥ 1.5× batch-over-per-atom at batch ≥ 64 (batched sweep).
 #include <benchmark/benchmark.h>
@@ -39,7 +38,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/simd.h"
 #include "cq/pattern.h"
 #include "cq/schema.h"
 #include "label/compiled_matcher.h"
@@ -301,10 +299,10 @@ void BM_BatchPerAtom(benchmark::State& state) {
              static_cast<int>(env.by_relation.size()) * kBatchPool);
 }
 
-void RunBatchKernel(benchmark::State& state, simd::Isa isa) {
+// The batch kernel over the same pools: one MatchMaskBatch call per batch.
+void BM_BatchScalar(benchmark::State& state) {
   const BatchEnv& env = BatchEnv::Get(static_cast<int>(state.range(0)));
   const int batch = static_cast<int>(state.range(1));
-  simd::ForceIsa(isa);
   label::BatchScratch scratch;
   std::vector<uint64_t> rows(
       static_cast<size_t>(batch) * kMaxMaskWords);
@@ -319,21 +317,8 @@ void RunBatchKernel(benchmark::State& state, simd::Isa isa) {
       }
     }
   }
-  simd::ClearForcedIsa();
   ReportRate(state,
              static_cast<int>(env.by_relation.size()) * kBatchPool);
-}
-
-// Batch kernel with vector dispatch forced off: batch structure alone.
-void BM_BatchScalar(benchmark::State& state) {
-  RunBatchKernel(state, simd::Isa::kScalar);
-}
-
-// Batch kernel under the detected ISA; on hardware with no vector unit
-// this equals the scalar series (ForceIsa clamps) and the script's
-// speedup floor is carried by batch structure alone.
-void BM_BatchSimd(benchmark::State& state) {
-  RunBatchKernel(state, simd::DetectIsa());
 }
 
 void BatchAxis(benchmark::internal::Benchmark* bench) {
@@ -353,21 +338,8 @@ BENCHMARK(BM_CompiledWide)->Apply(WideAxis)
     ->Name("MatcherWide/compiled/vpr");
 BENCHMARK(BM_BatchPerAtom)->Apply(BatchAxis)->Name("MatcherBatch/per_atom");
 BENCHMARK(BM_BatchScalar)->Apply(BatchAxis)->Name("MatcherBatch/scalar");
-BENCHMARK(BM_BatchSimd)->Apply(BatchAxis)->Name("MatcherBatch/simd");
 
 }  // namespace
 }  // namespace fdc::bench
 
-// Custom main (instead of BENCHMARK_MAIN) so the run records which ISA the
-// runtime dispatcher actually selected — run_benchmarks.sh lifts this into
-// BENCH_hotpath.json's run_metadata so batch-sweep numbers are attributable
-// to a vector unit (or its absence).
-int main(int argc, char** argv) {
-  benchmark::AddCustomContext(
-      "simd_isa", fdc::simd::IsaName(fdc::simd::ActiveIsa()));
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -75,10 +75,6 @@ for name in ("fig_batch_monitor", "fig5_labeler", "fig_engine_scaling",
     with open(os.path.join(tmp, name + ".json")) as f:
         data = json.load(f)
     merged.setdefault("context", data.get("context", {}))
-    # Custom context entries (e.g. fig_matcher's simd_isa) live only in the
-    # binary that registered them; lift them over the first file's context.
-    if "simd_isa" in data.get("context", {}):
-        merged["context"]["simd_isa"] = data["context"]["simd_isa"]
     for bench in data.get("benchmarks", []):
         merged["benchmarks"][bench["name"]] = {
             k: bench[k]
@@ -160,16 +156,9 @@ merged["matcher_wide_speedup_at_128_vpr"] = \
     merged["speedups"].get("matcher_wide_vs_seed/vpr/128")
 merged["matcher_wide_speedup_floor"] = 3.0
 
-# Batched sweep: the batch-structured kernel (scalar-forced and
-# SIMD-dispatched) vs the per-atom loop over the same per-relation
-# contiguous pools. The fig_matcher binary records which ISA the runtime
-# dispatcher selected; lift it into run_metadata so the batch numbers are
-# attributable to a vector unit (or its absence — on scalar-only hardware
-# the simd series equals the scalar series and the floor is carried by
-# batch structure alone). Acceptance floor: ≥ 1.5x over per-atom at some
-# batch size ≥ 64.
-merged["run_metadata"]["simd_isa"] = \
-    merged.get("context", {}).get("simd_isa", "unknown")
+# Batched sweep: the batch-structured kernel vs the per-atom loop over the
+# same per-relation contiguous pools. Acceptance floor: ≥ 1.5x over
+# per-atom at some batch size ≥ 64.
 merged["fig_matcher_batch"] = {}
 for vpr in (64, 128):
     per_batch = {}
@@ -177,22 +166,16 @@ for vpr in (64, 128):
         suffix = f"vpr:{vpr}/batch:{batch}"
         per_atom = mask_rate(f"MatcherBatch/per_atom/{suffix}")
         scalar = mask_rate(f"MatcherBatch/scalar/{suffix}")
-        simd = mask_rate(f"MatcherBatch/simd/{suffix}")
-        for series, r in (("per_atom", per_atom), ("scalar", scalar),
-                          ("simd", simd)):
+        for series, r in (("per_atom", per_atom), ("scalar", scalar)):
             if r:
                 merged["fig_matcher_batch"][
                     f"{series}/vpr/{vpr}/batch/{batch}"] = r
-        if scalar and simd:
-            merged["speedups"][
-                f"matcher_batch_vs_scalar/vpr/{vpr}/batch/{batch}"] = \
-                round(simd / scalar, 2)
-        if per_atom and simd:
+        if per_atom and scalar:
             merged["speedups"][
                 f"matcher_batch_vs_per_atom/vpr/{vpr}/batch/{batch}"] = \
-                round(simd / per_atom, 2)
+                round(scalar / per_atom, 2)
             if batch >= 64:
-                per_batch[batch] = simd / per_atom
+                per_batch[batch] = scalar / per_atom
     merged[f"matcher_batch_speedup_at_{vpr}_vpr"] = \
         round(max(per_batch.values()), 2) if per_batch else None
 merged["matcher_batch_speedup_floor"] = 1.5
@@ -311,8 +294,7 @@ if w64 is not None:
     msg += f"; wide matcher @64 views/relation = {w64}x"
 b64 = merged["matcher_batch_speedup_at_64_vpr"]
 if b64 is not None:
-    msg += (f"; batch kernel @64 views/relation = {b64}x "
-            f"({merged['run_metadata']['simd_isa']})")
+    msg += f"; batch kernel @64 views/relation = {b64}x"
 churn_live = merged["principal_churn"].get("bounded/num_principals")
 if churn_live is not None:
     msg += (f"; churn live principals = {int(churn_live)}/4096 "

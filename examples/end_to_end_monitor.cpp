@@ -107,8 +107,8 @@ int main() {
 
   // A burst of decisions for one principal goes through SubmitBatch: the
   // labeler buckets every dissected atom by relation and runs the batch
-  // mask kernel once per bucket (SIMD-dispatched for wide relations),
-  // which is what the batch/SIMD stats lines below count.
+  // mask kernel once per bucket, which is what the labeler's
+  // batch_mask_evals stat below counts.
   {
     std::vector<cq::ConjunctiveQuery> burst;
     for (const char* sql :

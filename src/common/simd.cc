@@ -1,9 +1,5 @@
 #include "common/simd.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace fdc::simd {
 
 namespace {
@@ -20,28 +16,6 @@ Isa ProbeHardware() {
   return Isa::kScalar;
 #endif
 }
-
-Isa ClampToAvailable(Isa isa) {
-  return IsaAvailable(isa) ? isa : Isa::kScalar;
-}
-
-/// FDC_SIMD parse result: the requested ISA, or detection when unset/"auto"
-/// (unrecognized values fall back to detection rather than silently
-/// disabling the vector path).
-Isa EnvIsa() {
-  const char* env = std::getenv("FDC_SIMD");
-  if (env == nullptr || *env == '\0') return DetectIsa();
-  if (std::strcmp(env, "scalar") == 0 || std::strcmp(env, "off") == 0 ||
-      std::strcmp(env, "0") == 0) {
-    return Isa::kScalar;
-  }
-  if (std::strcmp(env, "avx2") == 0) return ClampToAvailable(Isa::kAvx2);
-  if (std::strcmp(env, "neon") == 0) return ClampToAvailable(Isa::kNeon);
-  return DetectIsa();
-}
-
-// -1 = no ForceIsa() pin; otherwise the pinned Isa value.
-std::atomic<int> g_forced{-1};
 
 }  // namespace
 
@@ -62,22 +36,6 @@ Isa DetectIsa() {
   return detected;
 }
 
-bool IsaAvailable(Isa isa) {
-  return isa == Isa::kScalar || isa == DetectIsa();
-}
-
-Isa ActiveIsa() {
-  const int forced = g_forced.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<Isa>(forced);
-  static const Isa from_env = EnvIsa();
-  return from_env;
-}
-
-void ForceIsa(Isa isa) {
-  g_forced.store(static_cast<int>(ClampToAvailable(isa)),
-                 std::memory_order_relaxed);
-}
-
-void ClearForcedIsa() { g_forced.store(-1, std::memory_order_relaxed); }
+Isa ActiveIsa() { return Isa::kScalar; }
 
 }  // namespace fdc::simd

@@ -1,26 +1,15 @@
-// Runtime SIMD dispatch for the batch mask kernels.
+// Instruction-set identification for run metadata.
 //
-// The batch-structured matcher kernel (CompiledCatalogMatcher::MatchMaskBatch)
-// accumulates C1–C5 as row-major word ANDs across a batch of patterns; the
-// inner AND loops have AVX2 (x86-64) and NEON (aarch64) specializations. This
-// header owns the *selection* of those specializations:
+// The mask kernels (CompiledCatalogMatcher::MatchMaskBatch and the per-atom
+// loops) are scalar only: a §6.1 label is a plain AND-able bit mask, and the
+// AVX2/NEON batch variants measured within noise of the scalar loops end to
+// end, so there is no vector kernel and nothing to dispatch. What remains
+// records the hardware a benchmark ran on next to the (always scalar)
+// kernel it used:
 //
 //   * DetectIsa() probes the hardware once — cpuid via
-//     __builtin_cpu_supports("avx2") on x86, NEON as the aarch64 baseline —
-//     and never consults overrides;
-//   * ActiveIsa() is what kernels dispatch on: the detected ISA, unless the
-//     FDC_SIMD environment variable ("scalar"/"off", "avx2", "neon", "auto")
-//     or a programmatic ForceIsa() narrows it. An override can only select an
-//     ISA the hardware supports — requesting an unavailable one clamps to
-//     scalar, never to an illegal instruction;
-//   * the scalar fallback is always compiled and always selectable, so the
-//     ablation/benchmark story (scalar-batch vs SIMD-batch) and the
-//     scalar-forced CI leg cost nothing extra to keep honest.
-//
-// ForceIsa/ClearForcedIsa exist for tests and benches that must pin a variant
-// regardless of environment (the differential suite runs the batch kernel
-// under every available ISA against the per-atom oracle). The forced value is
-// process-global and atomic; production code never calls it.
+//     __builtin_cpu_supports("avx2") on x86, NEON as the aarch64 baseline;
+//   * ActiveIsa() is the ISA the kernels run, always kScalar.
 #pragma once
 
 namespace fdc::simd {
@@ -31,26 +20,14 @@ enum class Isa {
   kNeon = 2,
 };
 
-/// Stable lowercase name ("scalar", "avx2", "neon") for stats/bench metadata.
+/// Stable lowercase name ("scalar", "avx2", "neon") for bench metadata.
 const char* IsaName(Isa isa);
 
-/// The best ISA this hardware supports, ignoring every override. Probed once
-/// (cpuid / baseline target checks) and cached.
+/// The best ISA this hardware supports. Probed once and cached.
 Isa DetectIsa();
 
-/// True iff the hardware can execute `isa` (kScalar is always available).
-bool IsaAvailable(Isa isa);
-
-/// The ISA the kernels dispatch on right now: ForceIsa() override if set,
-/// else the FDC_SIMD environment override (read once), else DetectIsa().
-/// Unavailable requests clamp to kScalar.
+/// The ISA the mask kernels run: always kScalar, since there is no vector
+/// kernel.
 Isa ActiveIsa();
-
-/// Pins ActiveIsa() to `isa` (clamped to availability) until
-/// ClearForcedIsa(). Test/bench hook only.
-void ForceIsa(Isa isa);
-
-/// Drops the ForceIsa() pin; ActiveIsa() falls back to env/detection.
-void ClearForcedIsa();
 
 }  // namespace fdc::simd

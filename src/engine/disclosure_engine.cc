@@ -13,6 +13,13 @@
 namespace fdc::engine {
 namespace {
 
+// Bumps a counter every caller thread writes, skipping zero adds, so a
+// single decision does one read-modify-write per tally (accepted/refused,
+// shadow agree/stricter/looser), on the one counter its outcome names.
+void AddNonZero(std::atomic<uint64_t>& counter, uint64_t n) {
+  if (n != 0) counter.fetch_add(n, std::memory_order_relaxed);
+}
+
 // Parks a displaced snapshot's ownership in the epoch domain: the refcount
 // held by the heap holder drops only after every reader pinned at retire
 // time has unpinned, so raw-pointer loads stay valid for guard scope.
@@ -121,36 +128,63 @@ void DisclosureEngine::ClearShadowPolicy() {
   RetireSnapshot(std::move(retired));
 }
 
+uint64_t DisclosureEngine::Decide(
+    std::string_view principal,
+    std::span<const label::DisclosureLabel* const> labels, bool* decisions) {
+  epoch::Guard pin;
+  for (;;) {
+    const EngineSnapshot* snap = LoadSnapshot();
+    const policy::ReferenceMonitor monitor(&snap->policy());
+    const std::optional<uint64_t> accepted = principals_.TryWithState(
+        principal, snap->epoch(), snap->InitialMask(),
+        [&](policy::PrincipalState& state) {
+          uint64_t ok = 0;
+          for (size_t i = 0; i < labels.size(); ++i) {
+            decisions[i] = monitor.Submit(&state, *labels[i]);
+            ok += decisions[i] ? 1 : 0;
+          }
+          return ok;
+        });
+    if (!accepted.has_value()) continue;  // lost a race with a policy swap
+    AddNonZero(accepted_, *accepted);
+    AddNonZero(refused_, labels.size() - *accepted);
+    if (ShadowEnabled()) ShadowEvaluate(principal, labels, decisions);
+    return snap->epoch();
+  }
+}
+
 void DisclosureEngine::ShadowEvaluate(
     std::string_view principal,
-    std::span<const label::DisclosureLabel* const> labels,
-    const std::vector<bool>& live) {
-  epoch::Guard pin;
+    std::span<const label::DisclosureLabel* const> labels, const bool* live) {
+  struct Tally {
+    uint64_t agree = 0;
+    uint64_t stricter = 0;  // live accepted, candidate would refuse
+    uint64_t looser = 0;    // live refused, candidate would accept
+  };
   for (;;) {
     const EngineSnapshot* snap = LoadShadow();
     if (snap == nullptr) return;  // cleared while we were deciding
     const policy::ReferenceMonitor monitor(&snap->policy());
-    std::optional<std::vector<bool>> decisions =
-        shadow_principals_.TryWithState(
-            principal, snap->epoch(), snap->InitialMask(),
-            [&](policy::PrincipalState& state) {
-              return monitor.SubmitBatch(&state, labels);
-            });
-    if (!decisions.has_value()) continue;  // raced a shadow swap; reload
-    uint64_t agree = 0, stricter = 0, looser = 0;
-    for (size_t i = 0; i < decisions->size(); ++i) {
-      const bool shadow = (*decisions)[i];
-      if (shadow == live[i]) {
-        ++agree;
-      } else if (live[i]) {
-        ++stricter;  // live accepted, candidate would refuse
-      } else {
-        ++looser;  // live refused, candidate would accept
-      }
-    }
-    shadow_agree_.fetch_add(agree, std::memory_order_relaxed);
-    shadow_stricter_.fetch_add(stricter, std::memory_order_relaxed);
-    shadow_looser_.fetch_add(looser, std::memory_order_relaxed);
+    const std::optional<Tally> tally = shadow_principals_.TryWithState(
+        principal, snap->epoch(), snap->InitialMask(),
+        [&](policy::PrincipalState& state) {
+          Tally t;
+          for (size_t i = 0; i < labels.size(); ++i) {
+            const bool shadow = monitor.Submit(&state, *labels[i]);
+            if (shadow == live[i]) {
+              ++t.agree;
+            } else if (live[i]) {
+              ++t.stricter;
+            } else {
+              ++t.looser;
+            }
+          }
+          return t;
+        });
+    if (!tally.has_value()) continue;  // raced a shadow swap; reload
+    AddNonZero(shadow_agree_, tally->agree);
+    AddNonZero(shadow_stricter_, tally->stricter);
+    AddNonZero(shadow_looser_, tally->looser);
     return;
   }
 }
@@ -175,28 +209,11 @@ bool DisclosureEngine::Submit(std::string_view principal,
   // Labels depend only on the catalog, never the policy — label once,
   // outside the snapshot retry loop.
   const label::DisclosureLabel label = labeler_.Label(query);
-  epoch::Guard pin;
-  for (;;) {
-    const EngineSnapshot* snap = LoadSnapshot();
-    const policy::ReferenceMonitor monitor(&snap->policy());
-    const std::optional<bool> ok = principals_.TryWithState(
-        principal, snap->epoch(), snap->InitialMask(),
-        [&](policy::PrincipalState& state) {
-          return monitor.Submit(&state, label);
-        });
-    if (!ok.has_value()) continue;  // lost a race with a policy swap
-    if (*ok) {
-      accepted_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      refused_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (ShadowEnabled()) {
-      const label::DisclosureLabel* one[1] = {&label};
-      ShadowEvaluate(principal, one, std::vector<bool>{*ok});
-    }
-    MaybeAutoSweep(1);
-    return *ok;
-  }
+  const label::DisclosureLabel* one[1] = {&label};
+  bool ok = false;
+  Decide(principal, one, &ok);
+  MaybeAutoSweep(1);
+  return ok;
 }
 
 std::vector<bool> DisclosureEngine::SubmitBatch(
@@ -204,29 +221,13 @@ std::vector<bool> DisclosureEngine::SubmitBatch(
     std::span<const cq::ConjunctiveQuery> queries) {
   const std::vector<label::DisclosureLabel> labels =
       labeler_.LabelBatch(queries);
-  epoch::Guard pin;
-  for (;;) {
-    const EngineSnapshot* snap = LoadSnapshot();
-    const policy::ReferenceMonitor monitor(&snap->policy());
-    std::optional<std::vector<bool>> decisions = principals_.TryWithState(
-        principal, snap->epoch(), snap->InitialMask(),
-        [&](policy::PrincipalState& state) {
-          return monitor.SubmitBatch(&state, labels);
-        });
-    if (!decisions.has_value()) continue;  // lost a race with a policy swap
-    uint64_t ok = 0;
-    for (const bool d : *decisions) ok += d ? 1 : 0;
-    accepted_.fetch_add(ok, std::memory_order_relaxed);
-    refused_.fetch_add(decisions->size() - ok, std::memory_order_relaxed);
-    if (ShadowEnabled()) {
-      std::vector<const label::DisclosureLabel*> label_ptrs;
-      label_ptrs.reserve(labels.size());
-      for (const label::DisclosureLabel& l : labels) label_ptrs.push_back(&l);
-      ShadowEvaluate(principal, label_ptrs, *decisions);
-    }
-    MaybeAutoSweep(decisions->size());
-    return *std::move(decisions);
-  }
+  std::vector<const label::DisclosureLabel*> label_ptrs;
+  label_ptrs.reserve(labels.size());
+  for (const label::DisclosureLabel& l : labels) label_ptrs.push_back(&l);
+  const std::unique_ptr<bool[]> decided(new bool[labels.size()]);
+  Decide(principal, label_ptrs, decided.get());
+  MaybeAutoSweep(labels.size());
+  return std::vector<bool>(decided.get(), decided.get() + labels.size());
 }
 
 void DisclosureEngine::SubmitCoalesced(
@@ -244,6 +245,8 @@ void DisclosureEngine::SubmitCoalesced(
     };
     std::vector<Group> groups;
     size_t groups_used = 0;
+    std::unique_ptr<bool[]> decided;  // one group's decisions
+    size_t decided_size = 0;
   };
   thread_local Scratch scratch;
 
@@ -255,9 +258,9 @@ void DisclosureEngine::SubmitCoalesced(
   }
   if (requests.empty()) return;
 
-  // One batched labeling pass over the whole wake: the batch/SIMD kernel
-  // and the batch's distinct-structure dedup see the full coalesced size,
-  // not per-connection fragments.
+  // One batched labeling pass over the whole wake: the batch kernel and the
+  // batch's distinct-structure dedup see the full coalesced size, not
+  // per-connection fragments.
   scratch.queries.clear();
   scratch.queries.reserve(requests.size());
   for (const SubmitRequest& request : requests) {
@@ -287,39 +290,21 @@ void DisclosureEngine::SubmitCoalesced(
     group.labels.push_back(&labels[i]);
   }
 
-  uint64_t ok_total = 0;
+  if (scratch.decided_size < requests.size()) {
+    scratch.decided.reset(new bool[requests.size()]);
+    scratch.decided_size = requests.size();
+  }
+  // One pin for the whole wake: each group's Decide pin nests inside it.
   epoch::Guard pin;
   for (size_t g = 0; g < scratch.groups_used; ++g) {
     const Scratch::Group& group = scratch.groups[g];
-    for (;;) {
-      const EngineSnapshot* snap = LoadSnapshot();
-      const policy::ReferenceMonitor monitor(&snap->policy());
-      std::optional<std::vector<bool>> group_decisions =
-          principals_.TryWithState(
-              group.principal, snap->epoch(), snap->InitialMask(),
-              [&](policy::PrincipalState& state) {
-                return monitor.SubmitBatch(
-                    &state, std::span<const label::DisclosureLabel* const>(
-                                group.labels));
-              });
-      if (!group_decisions.has_value()) continue;  // raced a policy swap
-      for (size_t j = 0; j < group.indices.size(); ++j) {
-        const bool d = (*group_decisions)[j];
-        (*decisions)[group.indices[j]] = d;
-        if (epochs != nullptr) (*epochs)[group.indices[j]] = snap->epoch();
-        ok_total += d ? 1 : 0;
-      }
-      if (ShadowEnabled()) {
-        ShadowEvaluate(
-            group.principal,
-            std::span<const label::DisclosureLabel* const>(group.labels),
-            *group_decisions);
-      }
-      break;
+    const uint64_t epoch =
+        Decide(group.principal, group.labels, scratch.decided.get());
+    for (size_t j = 0; j < group.indices.size(); ++j) {
+      (*decisions)[group.indices[j]] = scratch.decided[j];
+      if (epochs != nullptr) (*epochs)[group.indices[j]] = epoch;
     }
   }
-  accepted_.fetch_add(ok_total, std::memory_order_relaxed);
-  refused_.fetch_add(requests.size() - ok_total, std::memory_order_relaxed);
   MaybeAutoSweep(requests.size());
 }
 

@@ -172,11 +172,12 @@ class DisclosureEngine {
 
   /// Coalesced decisions across principals: everything a server drained
   /// from one event-loop wake goes through a single batched labeling pass
-  /// (batch/SIMD kernel + batch label dedup at the wire path's natural
-  /// batch size), then one monitor SubmitBatch per distinct principal
-  /// group (arrival order preserved within each principal). Decision-
-  /// identical to calling Submit per request in order: principals' monitor
-  /// states are independent, so only the per-principal order matters.
+  /// (the batch kernel labels each distinct structure once, at the wire
+  /// path's natural batch size), then one decide step per distinct
+  /// principal group (arrival order preserved within each principal).
+  /// Decision-identical to calling Submit per request in order: principals'
+  /// monitor states are independent, so only the per-principal order
+  /// matters.
   /// `decisions` is resized to requests.size(); when `epochs` is non-null
   /// it receives the epoch each request's decision was made under (groups
   /// racing UpdatePolicy may land on different epochs, exactly like
@@ -308,12 +309,22 @@ class DisclosureEngine {
   alignas(64) std::atomic<uint64_t> shadow_agree_{0};
   std::atomic<uint64_t> shadow_stricter_{0};
   std::atomic<uint64_t> shadow_looser_{0};
+  /// The one per-principal decide step behind Submit, SubmitBatch and
+  /// SubmitCoalesced (§6.2): against one pinned snapshot, runs the
+  /// monitor's Submit for each label in order under a single shard-lock
+  /// acquisition, reloading and retrying when it loses a race with a
+  /// policy swap. Writes labels.size() decisions into `decisions`, counts
+  /// them, replays the same span against the shadow policy when one is
+  /// staged, and returns the epoch the decisions were made under.
+  uint64_t Decide(std::string_view principal,
+                  std::span<const label::DisclosureLabel* const> labels,
+                  bool* decisions);
   /// Replays one principal's just-decided labels against the shadow
   /// policy and tallies agreement; `live` holds the live decisions in
-  /// `labels` order.
+  /// `labels` order. The caller holds an epoch::Guard.
   void ShadowEvaluate(std::string_view principal,
                       std::span<const label::DisclosureLabel* const> labels,
-                      const std::vector<bool>& live);
+                      const bool* live);
   /// Auto-sweep cadence: the thread whose decision count crosses a
   /// multiple of principal_sweep_interval runs one sweep.
   alignas(64) uint64_t sweep_interval_;

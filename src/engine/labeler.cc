@@ -220,8 +220,6 @@ std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
                                std::memory_order_relaxed);
     per_view_tests_avoided_.fetch_add(counters.per_view_tests_avoided,
                                       std::memory_order_relaxed);
-    simd_lanes_used_.fetch_add(counters.simd_lanes_used,
-                               std::memory_order_relaxed);
 
     // Writer pass 2: memoize the genuinely novel structures. A racing
     // duplicate insert loses harmlessly — labels of one structure are
@@ -257,7 +255,6 @@ ConcurrentLabeler::Stats ConcurrentLabeler::stats() const {
       compiled_mask_evals_.load(std::memory_order_relaxed);
   stats.wide_mask_evals = wide_mask_evals_.load(std::memory_order_relaxed);
   stats.batch_mask_evals = batch_mask_evals_.load(std::memory_order_relaxed);
-  stats.simd_lanes_used = simd_lanes_used_.load(std::memory_order_relaxed);
   stats.per_view_tests_avoided =
       per_view_tests_avoided_.load(std::memory_order_relaxed);
   stats.overlay_reader_locks =

@@ -95,9 +95,8 @@ class ConcurrentLabeler {
     // Of those, masks evaluated through the batch-structured kernel
     // (LabelBatch's per-relation buckets via MatchMaskBatch).
     uint64_t batch_mask_evals = 0;
-    // 64-bit mask words ANDed by vector (AVX2/NEON) instructions in those
-    // batch evaluations; 0 under scalar dispatch (FDC_SIMD=scalar) and for
-    // one-word (narrow) relations, which always run the scalar fused loop.
+    // Always 0: the batch kernel has no vector variant. Kept so existing
+    // readers of this field keep compiling.
     uint64_t simd_lanes_used = 0;
     // Per-view rewritability tests the seed kernel would have run for
     // those masks.
@@ -194,7 +193,6 @@ class ConcurrentLabeler {
   std::atomic<uint64_t> compiled_mask_evals_{0};
   std::atomic<uint64_t> wide_mask_evals_{0};
   std::atomic<uint64_t> batch_mask_evals_{0};
-  std::atomic<uint64_t> simd_lanes_used_{0};
   std::atomic<uint64_t> per_view_tests_avoided_{0};
   std::atomic<uint64_t> overlay_reader_locks_{0};
   std::atomic<uint64_t> canonicalizations_{0};

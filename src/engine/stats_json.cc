@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "common/epoch.h"
-#include "common/simd.h"
 
 namespace fdc::engine {
 
@@ -199,7 +198,6 @@ std::string StatsToJson(const DisclosureEngine::EngineStats& stats,
   w.Field("compiled_mask_evals", stats.labeler.compiled_mask_evals);
   w.Field("wide_mask_evals", stats.labeler.wide_mask_evals);
   w.Field("batch_mask_evals", stats.labeler.batch_mask_evals);
-  w.Field("simd_lanes_used", stats.labeler.simd_lanes_used);
   w.Field("per_view_tests_avoided", stats.labeler.per_view_tests_avoided);
   w.Field("overlay_reader_locks", stats.labeler.overlay_reader_locks);
   w.Field("canonicalizations", stats.labeler.canonicalizations);
@@ -214,7 +212,6 @@ std::string StatsToJson(const DisclosureEngine::EngineStats& stats,
   w.EndObject();
 
   w.Field("fold_scratch_reuses", stats.fold_scratch_reuses);
-  w.StringField("simd_isa", simd::IsaName(simd::ActiveIsa()));
 
   w.BeginObject("ebr");
   w.Field("epoch", stats.ebr.epoch);

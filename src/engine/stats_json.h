@@ -13,21 +13,19 @@
 //      "residual_drops": ..., "residuals": ..., "residual_bytes": ...},
 //    "labeler": {"frozen_hits": ..., "overlay_hits": ..., "overlay_misses":
 //      ..., "stateless_fallbacks": ..., "compiled_mask_evals": ...,
-//      "wide_mask_evals": ..., "batch_mask_evals": ..., "simd_lanes_used":
-//      ..., "per_view_tests_avoided": ..., "overlay_reader_locks": ...,
+//      "wide_mask_evals": ..., "batch_mask_evals": ...,
+//      "per_view_tests_avoided": ..., "overlay_reader_locks": ...,
 //      "canonicalizations": ...},
 //    "interner": {"query_hits": ..., "query_misses": ..., "raw_hits": ...,
 //      "pattern_hits": ..., "pattern_misses": ...},
 //    "fold_scratch_reuses": ...,
-//    "simd_isa": "avx2",
 //    "ebr": {"epoch": ..., "retired": ..., "freed": ..., "pending": ...,
 //      "advances": ...},
 //    "shadow": {"enabled": false, "epoch": ..., "policy_name": "...",
 //      "evaluated": ..., "agree": ..., "shadow_stricter": ...,
 //      "shadow_looser": ...}}
 //
-// All values are non-negative integers except simd_isa (a short lowercase
-// token from simd::IsaName), shadow.enabled (a bool), and
+// All values are non-negative integers except shadow.enabled (a bool) and
 // shadow.policy_name — free operator-chosen text (SetShadowPolicy /
 // a policy artifact's embedded name), emitted through JsonEscape.
 //

@@ -3,17 +3,7 @@
 #include <algorithm>
 #include <tuple>
 
-#include "common/simd.h"
 #include "rewriting/atom_rewriting.h"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define FDC_SIMD_X86 1
-#include <immintrin.h>
-#endif
-#if defined(__aarch64__) || defined(__ARM_NEON)
-#define FDC_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
 
 namespace fdc::label {
 
@@ -51,87 +41,17 @@ inline uint64_t ValueKey(const std::string& s) {
 // the running W-word mask hot (the per-atom code shape — every C1–C5
 // condition is an AND against a precomputed net row, with early exit the
 // moment the mask dies), while the batch-level win comes from the shared
-// constant-probe memo threaded in via `lookup`. For multi-word (wide)
-// relations the per-position row ANDs are the kernel's densest work, so
-// they are specialized per ISA: the AVX2 variant folds four 64-bit mask
-// words per vpand (plus a 128-bit step), NEON two, and the scalar variant
-// is always compiled and selected when simd::ActiveIsa() == kScalar
-// (FDC_SIMD=scalar, ForceIsa, or hardware without AVX2/NEON). `lanes`
-// counts 64-bit words that went through vector instructions — the
-// simd_lanes_used observability counter. The kernels are templates over
-// the (private) RelationNet so they can live outside the class.
+// constant-probe memo threaded in via `lookup`. The kernels are templates
+// over the (private) RelationNet so they can live outside the class.
 //
 // Each position contributes up to two operand rows: op1 is the C1/C3 value
 // row (constants) or the C1-converse/C4 row nc/ncd (variables), op2 the C5
-// same_or_dist row for repeated variables. The AND helpers apply both in
-// one pass and OR-accumulate the surviving words so a dead mask exits the
+// same_or_dist row for repeated variables. AndRowAcc applies both in one
+// pass and OR-accumulates the surviving words so a dead mask exits the
 // position loop, exactly like the per-atom kernel.
 
-#if FDC_SIMD_X86
-__attribute__((target("avx2"))) inline uint64_t AndRowAccAvx2(
-    uint64_t* out, const uint64_t* a, const uint64_t* b, int w_count,
-    uint64_t* lanes) {
-  __m256i accv = _mm256_setzero_si256();
-  int w = 0;
-  for (; w + 4 <= w_count; w += 4) {
-    __m256i r =
-        _mm256_and_si256(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(out + w)),
-                         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w)));
-    if (b != nullptr) {
-      r = _mm256_and_si256(
-          r, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w)));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), r);
-    accv = _mm256_or_si256(accv, r);
-  }
-  uint64_t acc = _mm256_testz_si256(accv, accv) ? 0 : 1;
-  if (w + 2 <= w_count) {
-    __m128i r =
-        _mm_and_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(out + w)),
-                      _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + w)));
-    if (b != nullptr) {
-      r = _mm_and_si128(
-          r, _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + w)));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + w), r);
-    if (!_mm_testz_si128(r, r)) acc = 1;
-    w += 2;
-  }
-  *lanes += static_cast<uint64_t>(w);
-  for (; w < w_count; ++w) {
-    out[w] &= a[w];
-    if (b != nullptr) out[w] &= b[w];
-    acc |= out[w];
-  }
-  return acc;
-}
-#endif  // FDC_SIMD_X86
-
-#if FDC_SIMD_NEON
-inline uint64_t AndRowAccNeon(uint64_t* out, const uint64_t* a,
-                              const uint64_t* b, int w_count,
-                              uint64_t* lanes) {
-  uint64x2_t accv = vdupq_n_u64(0);
-  int w = 0;
-  for (; w + 2 <= w_count; w += 2) {
-    uint64x2_t r = vandq_u64(vld1q_u64(out + w), vld1q_u64(a + w));
-    if (b != nullptr) r = vandq_u64(r, vld1q_u64(b + w));
-    vst1q_u64(out + w, r);
-    accv = vorrq_u64(accv, r);
-  }
-  *lanes += static_cast<uint64_t>(w);
-  uint64_t acc = vgetq_lane_u64(accv, 0) | vgetq_lane_u64(accv, 1);
-  for (; w < w_count; ++w) {
-    out[w] &= a[w];
-    if (b != nullptr) out[w] &= b[w];
-    acc |= out[w];
-  }
-  return acc;
-}
-#endif  // FDC_SIMD_NEON
-
-inline uint64_t AndRowAccScalar(uint64_t* out, const uint64_t* a,
-                                const uint64_t* b, int w_count) {
+inline uint64_t AndRowAcc(uint64_t* out, const uint64_t* a,
+                          const uint64_t* b, int w_count) {
   uint64_t acc = 0;
   if (b == nullptr) {
     for (int w = 0; w < w_count; ++w) {
@@ -172,7 +92,7 @@ inline const uint64_t* WideOperands(const Net& net, const PatTerm& vt, int p,
   return op1;
 }
 
-// C2 epilogue shared by every wide variant: hit-check against the masked
+// C2 epilogue of the W-word kernel: hit-check against the masked
 // words, then clear the requirement's views when the pattern does not
 // imply the equality — the per-atom shape exactly.
 template <typename Net>
@@ -191,13 +111,12 @@ inline void WideEqEpilogue(const Net& net, const AtomPattern& v,
 }
 
 // Two-word relations (65–128 views) are the common wide case, so they get
-// register-resident specializations: the mask pair lives in two scalar
-// registers or one 128-bit vector register across the whole position loop,
-// and memory only sees the final store.
+// a register-resident specialization: the mask pair lives in two registers
+// across the whole position loop, and memory only sees the final store.
 
 template <typename Net, typename Lookup>
-void MatchW2FusedScalar(const Net& net, const AtomPattern& v, Lookup& lookup,
-                        uint64_t* out) {
+void MatchW2Fused(const Net& net, const AtomPattern& v, Lookup& lookup,
+                  uint64_t* out) {
   const int n = net.arity;
   uint64_t m0 = net.all_views[0];
   uint64_t m1 = net.all_views[1];
@@ -228,85 +147,9 @@ void MatchW2FusedScalar(const Net& net, const AtomPattern& v, Lookup& lookup,
   out[1] = m1;
 }
 
-#if FDC_SIMD_X86
 template <typename Net, typename Lookup>
-__attribute__((target("avx2"))) void MatchW2FusedAvx2(const Net& net,
-                                                      const AtomPattern& v,
-                                                      Lookup& lookup,
-                                                      uint64_t* out,
-                                                      uint64_t* lanes) {
-  const int n = net.arity;
-  __m128i m =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(net.all_views.data()));
-  int first_pos[CompiledCatalogMatcher::kMaxCompiledArity];
-  int next_class = 0;
-  uint64_t l = 0;
-  for (int p = 0; p < n && !_mm_testz_si128(m, m); ++p) {
-    const uint64_t* op2;
-    const uint64_t* op1 =
-        WideOperands(net, v.terms[p], p, first_pos, &next_class, lookup, &op2);
-    m = _mm_and_si128(m,
-                      _mm_loadu_si128(reinterpret_cast<const __m128i*>(op1)));
-    if (op2 != nullptr) {
-      m = _mm_and_si128(m,
-                        _mm_loadu_si128(reinterpret_cast<const __m128i*>(op2)));
-    }
-    l += 2;
-  }
-  if (!_mm_testz_si128(m, m)) {
-    for (const auto& req : net.eq_requirements) {
-      const __m128i r = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-          &net.eq_masks[static_cast<size_t>(req.mask_row) * 2]));
-      // testz(m, r) is the hit check: (m & r) == 0.
-      if (!_mm_testz_si128(m, r) &&
-          !ImpliesEquality(v.terms[req.q], v.terms[req.p])) {
-        m = _mm_andnot_si128(r, m);
-      }
-    }
-  }
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), m);
-  *lanes += l;
-}
-#endif  // FDC_SIMD_X86
-
-#if FDC_SIMD_NEON
-template <typename Net, typename Lookup>
-void MatchW2FusedNeon(const Net& net, const AtomPattern& v, Lookup& lookup,
-                      uint64_t* out, uint64_t* lanes) {
-  const int n = net.arity;
-  uint64x2_t m = vld1q_u64(net.all_views.data());
-  int first_pos[CompiledCatalogMatcher::kMaxCompiledArity];
-  int next_class = 0;
-  uint64_t l = 0;
-  const auto alive = [](uint64x2_t x) {
-    return (vgetq_lane_u64(x, 0) | vgetq_lane_u64(x, 1)) != 0;
-  };
-  for (int p = 0; p < n && alive(m); ++p) {
-    const uint64_t* op2;
-    const uint64_t* op1 =
-        WideOperands(net, v.terms[p], p, first_pos, &next_class, lookup, &op2);
-    m = vandq_u64(m, vld1q_u64(op1));
-    if (op2 != nullptr) m = vandq_u64(m, vld1q_u64(op2));
-    l += 2;
-  }
-  if (alive(m)) {
-    for (const auto& req : net.eq_requirements) {
-      const uint64x2_t r =
-          vld1q_u64(&net.eq_masks[static_cast<size_t>(req.mask_row) * 2]);
-      if (alive(vandq_u64(m, r)) &&
-          !ImpliesEquality(v.terms[req.q], v.terms[req.p])) {
-        m = vbicq_u64(m, r);
-      }
-    }
-  }
-  vst1q_u64(out, m);
-  *lanes += l;
-}
-#endif  // FDC_SIMD_NEON
-
-template <typename Net, typename Lookup>
-void MatchWideFusedScalar(const Net& net, const AtomPattern& v,
-                          Lookup& lookup, uint64_t* out) {
+void MatchWideFused(const Net& net, const AtomPattern& v, Lookup& lookup,
+                    uint64_t* out) {
   const int n = net.arity;
   const int W = net.words;
   std::copy(net.all_views.begin(), net.all_views.end(), out);
@@ -317,53 +160,11 @@ void MatchWideFusedScalar(const Net& net, const AtomPattern& v,
     const uint64_t* op2;
     const uint64_t* op1 =
         WideOperands(net, v.terms[p], p, first_pos, &next_class, lookup, &op2);
-    acc = AndRowAccScalar(out, op1, op2, W);
+    acc = AndRowAcc(out, op1, op2, W);
   }
   if (acc != 0) WideEqEpilogue(net, v, out);
 }
 
-#if FDC_SIMD_X86
-template <typename Net, typename Lookup>
-__attribute__((target("avx2"))) void MatchWideFusedAvx2(const Net& net,
-                                                        const AtomPattern& v,
-                                                        Lookup& lookup,
-                                                        uint64_t* out,
-                                                        uint64_t* lanes) {
-  const int n = net.arity;
-  const int W = net.words;
-  std::copy(net.all_views.begin(), net.all_views.end(), out);
-  int first_pos[CompiledCatalogMatcher::kMaxCompiledArity];
-  int next_class = 0;
-  uint64_t acc = 1;
-  for (int p = 0; p < n && acc != 0; ++p) {
-    const uint64_t* op2;
-    const uint64_t* op1 =
-        WideOperands(net, v.terms[p], p, first_pos, &next_class, lookup, &op2);
-    acc = AndRowAccAvx2(out, op1, op2, W, lanes);
-  }
-  if (acc != 0) WideEqEpilogue(net, v, out);
-}
-#endif  // FDC_SIMD_X86
-
-#if FDC_SIMD_NEON
-template <typename Net, typename Lookup>
-void MatchWideFusedNeon(const Net& net, const AtomPattern& v, Lookup& lookup,
-                        uint64_t* out, uint64_t* lanes) {
-  const int n = net.arity;
-  const int W = net.words;
-  std::copy(net.all_views.begin(), net.all_views.end(), out);
-  int first_pos[CompiledCatalogMatcher::kMaxCompiledArity];
-  int next_class = 0;
-  uint64_t acc = 1;
-  for (int p = 0; p < n && acc != 0; ++p) {
-    const uint64_t* op2;
-    const uint64_t* op1 =
-        WideOperands(net, v.terms[p], p, first_pos, &next_class, lookup, &op2);
-    acc = AndRowAccNeon(out, op1, op2, W, lanes);
-  }
-  if (acc != 0) WideEqEpilogue(net, v, out);
-}
-#endif  // FDC_SIMD_NEON
 
 }  // namespace
 
@@ -540,13 +341,6 @@ CompiledCatalogMatcher CompiledCatalogMatcher::Compile(
         }
       }
     }
-    net.eq_not.resize(net.eq_masks.size());
-    for (size_t r = 0; r < net.eq_requirements.size(); ++r) {
-      for (int w = 0; w < W; ++w) {
-        net.eq_not[r * W + w] =
-            net.all_views[static_cast<size_t>(w)] & ~net.eq_masks[r * W + w];
-      }
-    }
   }
   return matcher;
 }
@@ -574,8 +368,13 @@ const uint64_t* CompiledCatalogMatcher::LookupValue(const RelationNet& net,
   return &net.value_masks[static_cast<size_t>(row) * net.words];
 }
 
+// Forced inline: left to the compiler's heuristics, the batch kernel's
+// narrow loop calls this out of line once per pattern, which measured
+// about 16% slower on fig_matcher's one-word batch series (64 views per
+// relation, batch 512).
 template <typename Lookup>
-uint64_t CompiledCatalogMatcher::MatchNarrowImpl(const RelationNet& net,
+__attribute__((always_inline)) inline uint64_t
+CompiledCatalogMatcher::MatchNarrowImpl(const RelationNet& net,
                                                  const AtomPattern& v,
                                                  Lookup lookup) {
   // One-word relations: the pre-wide code shape — a single accumulator,
@@ -809,11 +608,9 @@ void CompiledCatalogMatcher::MatchMaskBatchImpl(Access at, int n_patterns,
   };
 
   if (W == 1) {
-    // Narrow relations: one mask word per pattern leaves the vector AND
-    // stage nothing to amortize its staging against, so the batch win here
-    // is the fused per-atom loop (mask lives in a register, early exit on
-    // death) plus the shared probe memo replacing per-pattern binary
-    // searches.
+    // Narrow relations: the batch win is the fused per-atom loop (mask
+    // lives in a register, early exit on death) plus the shared probe memo
+    // replacing per-pattern binary searches.
     for (int i = 0; i < N; ++i) {
       if (i + 1 < N) {
         // Each pattern's term array is its own heap block; start the next
@@ -827,12 +624,7 @@ void CompiledCatalogMatcher::MatchMaskBatchImpl(Access at, int n_patterns,
   }
 
   // Wide relations: the same fused shape, W-word mask rows instead of a
-  // register word. The per-position row ANDs dispatch once per batch to the
-  // active ISA's kernel; the scalar kernel is always compiled and is the
-  // FDC_SIMD=scalar / no-vector-hardware path.
-  const simd::Isa isa = simd::ActiveIsa();
-  (void)isa;  // scalar-only builds compile exactly one kernel
-  uint64_t lanes = 0;
+  // register word.
   for (int i = 0; i < N; ++i) {
     if (i + 1 < N) {
       __builtin_prefetch(at(i + 1).terms.data());
@@ -841,39 +633,12 @@ void CompiledCatalogMatcher::MatchMaskBatchImpl(Access at, int n_patterns,
     uint64_t* row = out + static_cast<size_t>(i) * W;
     if (v.arity() != n) {
       std::fill(row, row + W, 0);  // never rewritable (arity mismatch)
-      continue;
+    } else if (W == 2) {
+      MatchW2Fused(*net, v, memo_lookup, row);
+    } else {
+      MatchWideFused(*net, v, memo_lookup, row);
     }
-    if (W == 2) {
-#if FDC_SIMD_X86
-      if (isa == simd::Isa::kAvx2) {
-        MatchW2FusedAvx2(*net, v, memo_lookup, row, &lanes);
-        continue;
-      }
-#endif
-#if FDC_SIMD_NEON
-      if (isa == simd::Isa::kNeon) {
-        MatchW2FusedNeon(*net, v, memo_lookup, row, &lanes);
-        continue;
-      }
-#endif
-      MatchW2FusedScalar(*net, v, memo_lookup, row);
-      continue;
-    }
-#if FDC_SIMD_X86
-    if (isa == simd::Isa::kAvx2) {
-      MatchWideFusedAvx2(*net, v, memo_lookup, row, &lanes);
-      continue;
-    }
-#endif
-#if FDC_SIMD_NEON
-    if (isa == simd::Isa::kNeon) {
-      MatchWideFusedNeon(*net, v, memo_lookup, row, &lanes);
-      continue;
-    }
-#endif
-    MatchWideFusedScalar(*net, v, memo_lookup, row);
   }
-  s->simd_lanes_used_ += lanes;
 }
 
 void CompiledCatalogMatcher::MatchMaskBatch(

@@ -49,19 +49,17 @@
 //   * precomputed single-AND rows for every condition (nc/ncd complements,
 //     value∨dist, same-class∨dist), so the fused loop never composes masks
 //     at eval time;
-//   * cross-pattern prefetch of the next atom's term array;
-//   * for wide relations, the per-position W-word row ANDs dispatch at
-//     runtime (common/simd.h) to AVX2 (four words per vpand plus a 128-bit
-//     step) or NEON (two words) kernel variants, with the scalar variant
-//     always compiled and selectable (FDC_SIMD env / simd::ForceIsa) for
-//     ablation and the scalar-forced CI leg. One-word relations have
-//     nothing for vector ANDs to fold, so they always run the scalar fused
-//     word kernel and report zero SIMD lanes.
+//   * cross-pattern prefetch of the next atom's term array.
+//
+// There is one scalar kernel per mask width and no vector variant: a §6.1
+// label is a plain AND-able bit mask, and a decision folds on average about
+// a third of one 64-bit word through the wide loops — too little for
+// AVX2/NEON ANDs to pay (they measured within noise of the scalar loops,
+// often behind). Two-word relations get a register-resident loop.
 //
 // The per-atom MatchMaskWords stays the property-test oracle: the batch
 // kernel is bit-identical to it by construction and by the randomized
-// differential suite (tests/batch_kernel_property_test.cc), under every
-// compiled ISA variant.
+// differential suite (tests/batch_kernel_property_test.cc).
 //
 // MatchMask/MatchMaskWords are allocation-free, touch no interner and no
 // cache, and are pure/immutable after Compile — any number of threads may
@@ -87,20 +85,11 @@ namespace fdc::label {
 
 class CompiledCatalogMatcher;
 
-/// Reusable working state for MatchMaskBatch: the constant-probe memo plus
-/// the SIMD lane counter. A warm scratch (memo grown to the largest arity
-/// seen) makes MatchMaskBatch allocation-free; one scratch serves any
-/// number of sequential batches over any relations but must not be shared
-/// across threads concurrently.
+/// Reusable working state for MatchMaskBatch: the constant-probe memo. A
+/// warm scratch (memo grown to the largest arity seen) makes MatchMaskBatch
+/// allocation-free; one scratch serves any number of sequential batches
+/// over any relations but must not be shared across threads concurrently.
 class BatchScratch {
- public:
-  /// Cumulative count of 64-bit mask words ANDed through vector (AVX2/NEON)
-  /// instructions across every batch evaluated with this scratch; stays 0
-  /// under scalar dispatch and for one-word (narrow) relations, where there
-  /// is nothing for vector ANDs to fold. Feeds the simd_lanes_used stats
-  /// counters.
-  uint64_t simd_lanes_used() const { return simd_lanes_used_; }
-
  private:
   friend class CompiledCatalogMatcher;
 
@@ -123,8 +112,6 @@ class BatchScratch {
   static constexpr int kProbeMemoBits = 6;  // 64 slots per position
   std::vector<ProbeMemo> memo_;             // arity << kProbeMemoBits slots
   uint64_t epoch_ = 0;
-
-  uint64_t simd_lanes_used_ = 0;
 };
 
 class CompiledCatalogMatcher {
@@ -192,10 +179,10 @@ class CompiledCatalogMatcher {
 
   /// Batch-structured MatchMaskWords: evaluates this relation's net over
   /// all of `patterns` at once through the fused memoized kernel (see the
-  /// header comment for the kernel structure and SIMD dispatch contract). Every pattern must name the same relation
-  /// (`patterns[0].relation`); consumers bucket per relation first.
-  /// Writes patterns.size() rows of MaskWords(relation) words each into
-  /// `out_masks` (row i = pattern i), bit-identical to calling
+  /// header comment for the kernel structure). Every pattern must name the
+  /// same relation (`patterns[0].relation`); consumers bucket per relation
+  /// first. Writes patterns.size() rows of MaskWords(relation) words each
+  /// into `out_masks` (row i = pattern i), bit-identical to calling
   /// MatchMaskWords per pattern — arity mismatches zero their row,
   /// fallback relations run the per-view loop per pattern. Allocation-free
   /// once `scratch` is warm; lock-free over the frozen net.
@@ -262,8 +249,6 @@ class CompiledCatalogMatcher {
     std::vector<uint64_t> value_or_dist;
     // (q·arity + p) rows: same_class | (dist_at[q] & dist_at[p]).
     std::vector<uint64_t> same_or_dist;
-    // all_views & ~eq_masks, parallel to eq_masks.
-    std::vector<uint64_t> eq_not;
   };
 
   const RelationNet* NetFor(int relation) const {

@@ -144,7 +144,6 @@ void LabelQueriesBatched(const CompiledCatalogMatcher& matcher,
   labels->clear();
   labels->resize(queries.size());
   if (queries.empty()) return;
-  const uint64_t lanes_before = scratch->kernel.simd_lanes_used();
 
   // Dissect every query into one flat atom pool (folding included — the
   // same Dissect the per-query paths run).
@@ -222,8 +221,6 @@ void LabelQueriesBatched(const CompiledCatalogMatcher& matcher,
     i = j;
   }
   for (DisclosureLabel& label : *labels) label.Seal();
-  counters->simd_lanes_used +=
-      scratch->kernel.simd_lanes_used() - lanes_before;
 }
 
 rewriting::ContainmentCache& LabelingPipeline::EnsureCache() {
@@ -400,7 +397,6 @@ std::vector<DisclosureLabel> LabelingPipeline::LabelBatch(
     stats_.batch_mask_evals += counters.batch_mask_evals;
     stats_.wide_mask_evals += counters.wide_mask_evals;
     stats_.per_view_tests_avoided += counters.per_view_tests_avoided;
-    stats_.simd_lanes_used += counters.simd_lanes_used;
     for (size_t s = 0; s < novel_ids.size(); ++s) {
       label_by_query_.emplace(novel_ids[s], std::move(novel_labels[s]));
     }

@@ -115,7 +115,6 @@ struct BatchLabelCounters {
   uint64_t batch_mask_evals = 0;        // masks evaluated through the kernel
   uint64_t wide_mask_evals = 0;         // of those, wide-relation masks
   uint64_t per_view_tests_avoided = 0;  // seed per-view tests replaced
-  uint64_t simd_lanes_used = 0;         // vector-ANDed 64-bit mask words
 };
 
 /// The batched labeling core shared by LabelingPipeline::LabelBatch and
@@ -153,7 +152,7 @@ void LabelQueriesBatched(const CompiledCatalogMatcher& matcher,
 ///   4. LabelBatch buckets a whole batch by interned id and computes each
 ///      distinct label exactly once; the novel structures' dissected atoms
 ///      are then bucketed per relation and evaluated through the
-///      batch-structured SIMD kernel (MatchMaskBatch — see
+///      batch-structured kernel (MatchMaskBatch — see
 ///      LabelQueriesBatched), with the per-atom loop kept behind
 ///      `ablate_batch_kernel`.
 ///
@@ -212,11 +211,6 @@ class LabelingPipeline {
     // Of those, masks evaluated through the batch-structured kernel
     // (LabelBatch's per-relation buckets via MatchMaskBatch).
     uint64_t batch_mask_evals = 0;
-    // 64-bit mask words ANDed by vector (AVX2/NEON) instructions inside
-    // those batch evaluations; stays 0 under scalar dispatch (FDC_SIMD) and
-    // for one-word (narrow) relations, which always run the scalar fused
-    // loop.
-    uint64_t simd_lanes_used = 0;
     // Per-view rewritability tests the seed loop would have run for those
     // masks (the work the compiled matcher replaces outright).
     uint64_t per_view_tests_avoided = 0;

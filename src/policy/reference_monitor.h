@@ -8,17 +8,14 @@
 // the state untouched. The state word is 64 bits wide, matching
 // SecurityPolicy::kMaxPartitions.
 //
-// SubmitBatch amortizes repeated-structure workloads: state narrowing is
-// monotone, so a label's decision is stable for the lifetime of a state —
-// once a label is accepted, later identical submits accept without touching
-// the state; once refused, they stay refused. The batch path memoizes
-// decisions per distinct label and only runs the partition scan once each.
+// There is no batch form: a decision is one AllowedPartitions scan, a few
+// word ANDs per partition, so a run of decisions is Submit in a loop (a
+// per-batch memo of repeated labels measured slower than that loop).
+// Repeated structures are amortized upstream, where labeling is expensive:
+// the labelers compute each distinct structure once.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <unordered_map>
-#include <vector>
 
 #include "label/compressed_label.h"
 #include "policy/policy.h"
@@ -27,13 +24,12 @@ namespace fdc::policy {
 
 /// Per-principal monitor state: which partitions remain consistent with the
 /// queries answered so far. Within one policy epoch the bits only ever
-/// narrow (Submit clears bits, never sets them) — the monotonicity every
-/// lifecycle layer above relies on: batch deduplication is sound because a
-/// label's decision is stable under narrowing, and the engine's
-/// PrincipalStateMap may reclaim an idle principal's slot and later resume
-/// these exact bits from a compact residual record (engine/principal_map.h)
-/// precisely because resuming a narrowed value can never widen what the
-/// principal may still learn.
+/// narrow (Submit clears bits, never sets them) — the monotonicity the
+/// lifecycle layer above relies on: the engine's PrincipalStateMap may
+/// reclaim an idle principal's slot and later resume these exact bits from
+/// a compact residual record (engine/principal_map.h) precisely because
+/// resuming a narrowed value can never widen what the principal may still
+/// learn.
 struct PrincipalState {
   uint64_t consistent = 0;
 };
@@ -62,22 +58,6 @@ class ReferenceMonitor {
     state->consistent = surviving;
     return true;
   }
-
-  /// Batched stateful submit: decision-for-decision identical to calling
-  /// Submit on each label in order, but duplicate labels (compared by
-  /// content; labels should be Sealed) cost one hash probe instead of a
-  /// partition scan. Returns one accept/refuse bit per input label.
-  std::vector<bool> SubmitBatch(
-      PrincipalState* state,
-      std::span<const label::DisclosureLabel> labels) const;
-
-  /// Same batched submit over non-contiguous labels. The engine's
-  /// cross-principal coalesced path groups one labeled batch by principal;
-  /// each group's labels stay where the labeler put them and only their
-  /// addresses are gathered here — no label copies per group.
-  std::vector<bool> SubmitBatch(
-      PrincipalState* state,
-      std::span<const label::DisclosureLabel* const> labels) const;
 
   const SecurityPolicy& policy() const { return *policy_; }
 

@@ -7,8 +7,8 @@
 // layer*: every frame readable in one epoll wake — across all of a
 // worker's connections — is decoded into one request batch and submitted
 // through a single DisclosureEngine::SubmitCoalesced pass, so the batched
-// labeling kernel (batch/SIMD mask evaluation, distinct-structure dedup)
-// runs at the wire path's natural batch size instead of degrading to
+// labeling kernel (batch mask evaluation, distinct-structure dedup) runs
+// at the wire path's natural batch size instead of degrading to
 // per-request Submit calls. Responses are staged per connection in
 // request order and flushed once per wake.
 //

@@ -1,23 +1,18 @@
 // Differential suite for the batch-structured mask kernel: MatchMaskBatch
-// must be bit-identical to the per-atom MatchMaskWords oracle — under every
-// compiled ISA variant, across the packed/word view-count boundaries
-// (31/32/33/63/64/65), for odd and lane-straddling batch sizes, through
-// both consumers (LabelingPipeline::LabelBatch and
-// engine::ConcurrentLabeler::LabelBatch), and with zero heap allocations on
-// the warm kernel path. Also pins the dispatch contract the scalar-forced
-// CI leg relies on: a scalar-forced environment can never select a vector
-// ISA.
+// must be bit-identical to the per-atom MatchMaskWords oracle — across the
+// packed/word view-count boundaries (31/32/33/63/64/65), for odd and
+// word-straddling batch sizes, through both consumers
+// (LabelingPipeline::LabelBatch and engine::ConcurrentLabeler::LabelBatch),
+// and with zero heap allocations on the warm kernel path.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/simd.h"
 #include "cq/pattern.h"
 #include "cq/schema.h"
 #include "engine/labeler.h"
@@ -62,20 +57,6 @@ using cq::Term;
 
 constexpr int kMaxArity = 5;
 const char* const kConstPool[6] = {"a", "b", "c", "d", "e", "f"};
-
-// Pins ActiveIsa for a scope; always restores env/auto dispatch on exit.
-struct ScopedIsa {
-  explicit ScopedIsa(simd::Isa isa) { simd::ForceIsa(isa); }
-  ~ScopedIsa() { simd::ClearForcedIsa(); }
-};
-
-// Every ISA variant this binary can execute: scalar always, plus the
-// detected vector ISA when the hardware has one.
-std::vector<simd::Isa> TestableIsas() {
-  std::vector<simd::Isa> isas{simd::Isa::kScalar};
-  if (simd::DetectIsa() != simd::Isa::kScalar) isas.push_back(simd::DetectIsa());
-  return isas;
-}
 
 cq::Schema RandomSchema(Rng* rng, int num_relations,
                         std::vector<int>* arities) {
@@ -157,14 +138,12 @@ std::vector<uint64_t> OracleRows(const CompiledCatalogMatcher& matcher,
 }
 
 // The packed-capacity and word-width view-count boundaries, plus a deep
-// two-word catalog; the batch sizes straddle the SIMD lane counts (odd
-// sizes, lane-count ± 1, and the run-vectorization threshold).
+// two-word catalog; odd and power-of-two batch sizes.
 const int kBoundaryViewCounts[] = {1, 5, 31, 32, 33, 63, 64, 65, 128};
 const int kBatchSizes[] = {1, 3, 5, 7, 8, 64};
 
-TEST(BatchKernelPropertyTest, MatchesPerAtomOracleAcrossBoundariesAndIsas) {
+TEST(BatchKernelPropertyTest, MatchesPerAtomOracleAcrossBoundaries) {
   Rng rng(0xba7c'0001);
-  const std::vector<simd::Isa> isas = TestableIsas();
   for (const int views : kBoundaryViewCounts) {
     std::vector<int> arities;
     const int num_relations = 1 + static_cast<int>(rng.Below(2));
@@ -173,7 +152,7 @@ TEST(BatchKernelPropertyTest, MatchesPerAtomOracleAcrossBoundariesAndIsas) {
     BoundaryCatalog(&rng, &catalog, arities, views);
     const CompiledCatalogMatcher matcher =
         CompiledCatalogMatcher::Compile(catalog);
-    BatchScratch scratch;  // one scratch across every relation/size/ISA
+    BatchScratch scratch;  // one scratch across every relation and size
     for (const int batch_size : kBatchSizes) {
       for (int relation = 0; relation < num_relations; ++relation) {
         std::vector<AtomPattern> batch;
@@ -184,22 +163,18 @@ TEST(BatchKernelPropertyTest, MatchesPerAtomOracleAcrossBoundariesAndIsas) {
         std::vector<uint64_t> got(expected.size(), 0);
         std::vector<const AtomPattern*> ptrs;
         for (const AtomPattern& p : batch) ptrs.push_back(&p);
-        for (const simd::Isa isa : isas) {
-          ScopedIsa forced(isa);
-          std::fill(got.begin(), got.end(), ~0ULL);
-          matcher.MatchMaskBatch(std::span<const AtomPattern>(batch),
-                                 got.data(), &scratch);
-          EXPECT_EQ(got, expected)
-              << "views=" << views << " batch=" << batch_size
-              << " relation=" << relation << " isa=" << simd::IsaName(isa);
-          // Pointer-batch overload: same kernel, scattered storage.
-          std::fill(got.begin(), got.end(), ~0ULL);
-          matcher.MatchMaskBatch(std::span<const AtomPattern* const>(ptrs),
-                                 got.data(), &scratch);
-          EXPECT_EQ(got, expected)
-              << "pointer overload views=" << views << " batch=" << batch_size
-              << " isa=" << simd::IsaName(isa);
-        }
+        std::fill(got.begin(), got.end(), ~0ULL);
+        matcher.MatchMaskBatch(std::span<const AtomPattern>(batch),
+                               got.data(), &scratch);
+        EXPECT_EQ(got, expected) << "views=" << views
+                                 << " batch=" << batch_size
+                                 << " relation=" << relation;
+        // Pointer-batch overload: same kernel, scattered storage.
+        std::fill(got.begin(), got.end(), ~0ULL);
+        matcher.MatchMaskBatch(std::span<const AtomPattern* const>(ptrs),
+                               got.data(), &scratch);
+        EXPECT_EQ(got, expected)
+            << "pointer overload views=" << views << " batch=" << batch_size;
       }
     }
   }
@@ -223,13 +198,9 @@ TEST(BatchKernelPropertyTest, ZeroesArityMismatchRowsInsideABatch) {
   }
   const std::vector<uint64_t> expected = OracleRows(matcher, batch);
   std::vector<uint64_t> got(expected.size(), ~0ULL);
-  for (const simd::Isa isa : TestableIsas()) {
-    ScopedIsa forced(isa);
-    std::fill(got.begin(), got.end(), ~0ULL);
-    matcher.MatchMaskBatch(std::span<const AtomPattern>(batch), got.data(),
-                           &scratch);
-    EXPECT_EQ(got, expected) << "isa=" << simd::IsaName(isa);
-  }
+  matcher.MatchMaskBatch(std::span<const AtomPattern>(batch), got.data(),
+                         &scratch);
+  EXPECT_EQ(got, expected);
   const int W = matcher.MaskWords(0);
   for (int i = 1; i < 9; i += 3) {  // the mismatched rows are all-zero
     for (int w = 0; w < W; ++w) {
@@ -403,33 +374,6 @@ TEST(BatchKernelPropertyTest, WarmBatchKernelIsAllocationFree) {
   g_count_allocs.store(false);
   EXPECT_EQ(g_alloc_count.load(), 0u)
       << "warm MatchMaskBatch must not allocate";
-}
-
-TEST(BatchKernelPropertyTest, ScalarForcedDispatchNeverSelectsVectorIsa) {
-  // The contract the scalar-forced CI leg enforces: with FDC_SIMD set to
-  // scalar/off, ActiveIsa() must be kScalar — a vector pick here fails the
-  // forced-off suite run.
-  const char* env = std::getenv("FDC_SIMD");
-  if (env != nullptr &&
-      (std::strcmp(env, "scalar") == 0 || std::strcmp(env, "off") == 0 ||
-       std::strcmp(env, "0") == 0)) {
-    EXPECT_EQ(simd::ActiveIsa(), simd::Isa::kScalar);
-  } else if (env == nullptr || *env == '\0' ||
-             std::strcmp(env, "auto") == 0) {
-    EXPECT_EQ(simd::ActiveIsa(), simd::DetectIsa());
-  }
-  // ForceIsa pins scalar everywhere and clamps unavailable vector requests
-  // to scalar instead of faulting.
-  {
-    ScopedIsa forced(simd::Isa::kScalar);
-    EXPECT_EQ(simd::ActiveIsa(), simd::Isa::kScalar);
-  }
-  if (simd::DetectIsa() == simd::Isa::kScalar) {
-    ScopedIsa forced(simd::Isa::kAvx2);
-    EXPECT_EQ(simd::ActiveIsa(), simd::Isa::kScalar);
-  }
-  EXPECT_TRUE(simd::IsaAvailable(simd::Isa::kScalar));
-  EXPECT_TRUE(simd::IsaAvailable(simd::DetectIsa()));
 }
 
 }  // namespace

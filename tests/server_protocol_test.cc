@@ -310,13 +310,15 @@ TEST(StatsJsonTest, EngineStatsSerializeToValidJson) {
   EXPECT_TRUE(JsonValidator(json).Validate()) << json;
   for (const char* key :
        {"\"epoch\"", "\"decisions\"", "\"submitted\"", "\"labeler\"",
-        "\"interner\"", "\"simd_isa\"", "\"ebr\"", "\"shadow\"",
+        "\"interner\"", "\"ebr\"", "\"shadow\"",
         "\"canonicalizations\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
-  // Fields removed with the engine's containment cache and overlay chunk.
+  // Fields removed with the engine's containment cache, the overlay chunk,
+  // and the vector mask kernels.
   for (const char* key :
-       {"\"containment_cache\"", "\"overlay_chunk_", "\"mode\""}) {
+       {"\"containment_cache\"", "\"overlay_chunk_", "\"mode\"",
+        "\"simd_isa\"", "\"simd_lanes_used\""}) {
     EXPECT_EQ(json.find(key), std::string::npos) << key;
   }
 }

@@ -3,6 +3,7 @@
 // returns bit-identical decisions to one without, on the same stream —
 // while its divergence counters match an oracle engine that runs the
 // candidate as its *live* policy over the same per-principal streams.
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,7 +13,9 @@
 #include "artifact/policy_blob.h"
 #include "engine/disclosure_engine.h"
 #include "engine/stats_json.h"
+#include "label/pipeline.h"
 #include "policy/policy.h"
+#include "policy/reference_monitor.h"
 #include "test_util.h"
 #include "workload/policy_generator.h"
 
@@ -100,26 +103,76 @@ TEST(ShadowPolicyTest, DivergenceCountsMatchOracleEngine) {
 
 TEST(ShadowPolicyTest, BatchAndCoalescedPathsCountShadowDecisions) {
   FbFixture fb;
-  engine::DisclosureEngine engine(/*db=*/nullptr, &fb.catalog,
-                                  GeneratePolicy(&fb.catalog, 5));
-  engine.SetShadowPolicy(GeneratePolicy(&fb.catalog, 1234), "candidate");
-  const auto pool = RandomWorkload(&fb.schema, 2, 120, 0xbadcULL);
+  const policy::SecurityPolicy live = GeneratePolicy(&fb.catalog, 5);
+  const policy::SecurityPolicy candidate = GeneratePolicy(&fb.catalog, 1234);
+  engine::DisclosureEngine engine(/*db=*/nullptr, &fb.catalog, live);
+  engine.SetShadowPolicy(candidate, "candidate");
 
-  engine.SubmitBatch("batch-app", std::span(pool.data(), 40));
-
-  std::vector<engine::DisclosureEngine::SubmitRequest> requests;
-  for (size_t i = 40; i < 120; ++i) {
-    requests.push_back({i % 2 == 0 ? "even-app" : "odd-app", &pool[i]});
+  // Duplicate-heavy stream: 60 distinct queries, each sent three times in
+  // a scattered order (7 is coprime with 60), so repeats of an accepted
+  // label and of a refused one both recur after the state has narrowed.
+  const auto pool = RandomWorkload(&fb.schema, 2, 60, 0xbadcULL);
+  std::vector<cq::ConjunctiveQuery> stream;
+  for (size_t k = 0; k < 3 * pool.size(); ++k) {
+    stream.push_back(pool[(k * 7) % pool.size()]);
   }
-  std::vector<bool> decisions;
-  engine.SubmitCoalesced(requests, &decisions);
-  ASSERT_EQ(decisions.size(), 80u);
+  const size_t batch_len = 60;
+  std::vector<std::string> principal_of(stream.size(), "batch-app");
+  for (size_t i = batch_len; i < stream.size(); ++i) {
+    principal_of[i] = "coalesced-" + std::to_string(i % 3);
+  }
+
+  std::vector<bool> got = engine.SubmitBatch(
+      "batch-app", std::span(stream.data(), batch_len));
+  std::vector<engine::DisclosureEngine::SubmitRequest> requests;
+  for (size_t i = batch_len; i < stream.size(); ++i) {
+    requests.push_back({principal_of[i], &stream[i]});
+  }
+  std::vector<bool> coalesced;
+  engine.SubmitCoalesced(requests, &coalesced);
+  ASSERT_EQ(coalesced.size(), stream.size() - batch_len);
+  got.insert(got.end(), coalesced.begin(), coalesced.end());
+
+  // Oracle: seed labels through sequential seed-monitor Submit, once under
+  // the live policy and once under the candidate, per principal.
+  label::LabelingPipeline seed(&fb.catalog);
+  const policy::ReferenceMonitor live_monitor(&live);
+  const policy::ReferenceMonitor shadow_monitor(&candidate);
+  std::map<std::string, policy::PrincipalState> live_state, shadow_state;
+  uint64_t accepted = 0, agree = 0, stricter = 0, looser = 0;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const label::DisclosureLabel label = seed.Label(stream[i]);
+    auto [lit, lnew] = live_state.try_emplace(principal_of[i]);
+    if (lnew) lit->second = live_monitor.InitialState();
+    auto [sit, snew] = shadow_state.try_emplace(principal_of[i]);
+    if (snew) sit->second = shadow_monitor.InitialState();
+    const bool want = live_monitor.Submit(&lit->second, label);
+    const bool shadow = shadow_monitor.Submit(&sit->second, label);
+    EXPECT_EQ(got[i], want) << "decision " << i;
+    accepted += want ? 1 : 0;
+    if (shadow == want) {
+      ++agree;
+    } else if (want) {
+      ++stricter;
+    } else {
+      ++looser;
+    }
+  }
+  // The stream must exercise both outcomes, or the check proves little.
+  ASSERT_GT(accepted, 0u);
+  ASSERT_LT(accepted, stream.size());
+  for (const auto& [principal, state] : live_state) {
+    EXPECT_EQ(engine.ConsistentPartitions(principal), state.consistent)
+        << principal;
+  }
 
   const auto stats = engine.Stats();
-  EXPECT_EQ(stats.shadow.evaluated, 120u);
-  EXPECT_EQ(stats.shadow.evaluated, stats.shadow.agree +
-                                        stats.shadow.shadow_stricter +
-                                        stats.shadow.shadow_looser);
+  EXPECT_EQ(stats.accepted, accepted);
+  EXPECT_EQ(stats.refused, stream.size() - accepted);
+  EXPECT_EQ(stats.shadow.evaluated, stream.size());
+  EXPECT_EQ(stats.shadow.agree, agree);
+  EXPECT_EQ(stats.shadow.shadow_stricter, stricter);
+  EXPECT_EQ(stats.shadow.shadow_looser, looser);
 }
 
 TEST(ShadowPolicyTest, ClearStopsEvaluationAndKeepsCounters) {
