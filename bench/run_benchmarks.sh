@@ -3,6 +3,12 @@
 # batched-vs-baseline speedups and engine thread-scaling efficiency) into
 # BENCH_hotpath.json at the repo root.
 #
+# Every benchmark runs 5 repetitions; each recorded figure is the median
+# repetition, with its coefficient of variation as `cv`, and every speedup
+# and floor check is computed from the medians. One run cannot tell a floor
+# breach from noise on a shared machine (fig_matcher ratios ranged
+# 0.97-1.78 across single runs against a 1.5 floor).
+#
 # Usage: FDC_BENCH_BIN_DIR=build bench/run_benchmarks.sh [output.json]
 # Also available as the CMake target `bench_hotpath`.
 set -euo pipefail
@@ -52,31 +58,77 @@ run() {
   "$bin_dir/$name" \
     --benchmark_out="$tmp/$name.json" \
     --benchmark_out_format=json \
-    --benchmark_min_time=0.2 >&2
+    --benchmark_min_time=0.2 \
+    --benchmark_repetitions=5 \
+    --benchmark_report_aggregates_only=true >&2
 }
 
 for name in "${benchmarks[@]}"; do
   run "$name"
 done
 
-python3 - "$tmp" "$out" <<'EOF'
-import json, sys, os
+python3 - "$tmp" "$out" "$bin_dir" <<'EOF'
+import json, sys, os, subprocess
 
-tmp, out = sys.argv[1], sys.argv[2]
+tmp, out, bin_dir = sys.argv[1], sys.argv[2], sys.argv[3]
 merged = {"benchmarks": {}, "speedups": {}}
 merged["run_metadata"] = {
     "git_sha": os.environ.get("FDC_BENCH_GIT_SHA", "unknown"),
     "hardware_cores": os.environ.get("FDC_BENCH_CORES", "unknown"),
     "timestamp_utc": os.environ.get("FDC_BENCH_TIMESTAMP", "unknown"),
+    "repetitions": 5,
+    "statistic": "median of repetitions; cv = stddev/mean of the rate",
 }
 
+# How the fdc binaries were built (google-benchmark's context only
+# describes its own library): the build tree's CMake cache, and the exact
+# flags libfdc compiled with.
+def read_assignments(path, sep):
+    values = {}
+    try:
+        with open(path) as f:
+            for line in f:
+                key, found, value = line.rstrip("\n").partition(sep)
+                if found and not key.startswith(("#", "//")):
+                    values[key.split(":")[0].strip()] = value.strip()
+    except OSError:
+        pass
+    return values
+
+cache = read_assignments(os.path.join(bin_dir, "CMakeCache.txt"), "=")
+flags = read_assignments(
+    os.path.join(bin_dir, "CMakeFiles", "fdc.dir", "flags.make"), "=")
+compiler = cache.get("CMAKE_CXX_COMPILER", "")
+try:
+    compiler_version = subprocess.run(
+        [compiler, "--version"], capture_output=True, text=True,
+        check=True).stdout.splitlines()[0]
+except (OSError, IndexError, subprocess.CalledProcessError):
+    compiler_version = "unknown"
+merged["run_metadata"].update({
+    "fdc_build_type":
+        cache.get("CMAKE_BUILD_TYPE") or "unset (CMakeLists.txt default)",
+    "fdc_cxx_flags": flags.get("CXX_FLAGS", "unknown"),
+    "fdc_cxx_compiler": compiler or "unknown",
+    "fdc_cxx_compiler_version": compiler_version,
+})
+
+RATE_KEYS = ("queries_per_second", "items_per_second", "masks_per_second",
+             "decisions_per_second")
 for name in ("fig_batch_monitor", "fig5_labeler", "fig_engine_scaling",
              "fig_matcher", "fig_principal_churn", "fig_server"):
     with open(os.path.join(tmp, name + ".json")) as f:
         data = json.load(f)
     merged.setdefault("context", data.get("context", {}))
+    cvs = {}
     for bench in data.get("benchmarks", []):
-        merged["benchmarks"][bench["name"]] = {
+        kind = bench.get("aggregate_name")
+        if kind == "cv":
+            key = next((k for k in RATE_KEYS if k in bench), "cpu_time")
+            cvs[bench["run_name"]] = round(bench[key], 4)
+        if kind != "median":
+            continue
+        merged["benchmarks"][bench["run_name"]] = {
             k: bench[k]
             for k in ("real_time", "cpu_time", "time_unit",
                       "items_per_second", "queries_per_second",
@@ -90,6 +142,9 @@ for name in ("fig_batch_monitor", "fig5_labeler", "fig_engine_scaling",
                       "p50_us", "p99_us", "p999_us")
             if k in bench
         }
+    for run_name, cv in cvs.items():
+        if run_name in merged["benchmarks"]:
+            merged["benchmarks"][run_name]["cv"] = cv
 
 def rate(name):
     b = merged["benchmarks"].get(name, {})

@@ -1,32 +1,47 @@
 // String helpers used by the parsers and pretty printers.
+//
+// Character classes are plain ASCII (the "C" locale's sets), never the
+// <cctype> functions: what a parser accepts must not depend on the locale
+// of the process that embeds the library. Bytes 0x80-0xFF are in no class.
 #pragma once
 
-#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace fdc {
 
-inline bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+/// ' ', '\t', '\n', '\v', '\f', '\r'.
+inline bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
-inline bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+inline bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
+
+inline bool IsAsciiAlpha(char c) {
+  const unsigned folded = static_cast<unsigned char>(c) | 0x20u;
+  return folded - 'a' < 26u;
+}
+
+inline bool IsIdentStart(char c) { return IsAsciiAlpha(c) || c == '_'; }
+
+inline bool IsIdentChar(char c) { return IsIdentStart(c) || IsAsciiDigit(c); }
+
+inline char AsciiToLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c | 0x20) : c;
 }
 
 inline std::string_view TrimView(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && IsAsciiSpace(s[b])) ++b;
+  while (e > b && IsAsciiSpace(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 
 inline std::string ToLower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = AsciiToLower(c);
   return out;
 }
 
@@ -34,10 +49,7 @@ inline std::string ToLower(std::string_view s) {
 inline bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (AsciiToLower(a[i]) != AsciiToLower(b[i])) return false;
   }
   return true;
 }

@@ -11,6 +11,14 @@ std::string RelationName(int id, const Schema& schema) {
 
 std::string VarName(int v) { return "v" + std::to_string(v); }
 
+// A constant as ParseDatalog reads it back: '...', or "..." when the value
+// holds a ' (the grammar has no escapes, so a value holding both quote
+// kinds has no Datalog spelling).
+std::string DatalogConstant(const std::string& value) {
+  const char quote = value.find('\'') == std::string::npos ? '\'' : '"';
+  return quote + value + quote;
+}
+
 }  // namespace
 
 std::string ToDatalog(const ConjunctiveQuery& query, const Schema& schema) {
@@ -19,7 +27,7 @@ std::string ToDatalog(const ConjunctiveQuery& query, const Schema& schema) {
   for (size_t i = 0; i < query.head().size(); ++i) {
     if (i > 0) out += ", ";
     const Term& t = query.head()[i];
-    out += t.is_var() ? VarName(t.var()) : ("'" + t.value() + "'");
+    out += t.is_var() ? VarName(t.var()) : DatalogConstant(t.value());
   }
   out += ") :- ";
   for (size_t i = 0; i < query.atoms().size(); ++i) {
@@ -29,7 +37,7 @@ std::string ToDatalog(const ConjunctiveQuery& query, const Schema& schema) {
     for (size_t j = 0; j < a.terms.size(); ++j) {
       if (j > 0) out += ", ";
       const Term& t = a.terms[j];
-      out += t.is_var() ? VarName(t.var()) : ("'" + t.value() + "'");
+      out += t.is_var() ? VarName(t.var()) : DatalogConstant(t.value());
     }
     out += ")";
   }

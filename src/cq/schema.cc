@@ -36,7 +36,7 @@ Result<int> Schema::AddRelation(std::string name,
   return id;
 }
 
-const RelationDef* Schema::Find(const std::string& name) const {
+const RelationDef* Schema::Find(std::string_view name) const {
   auto it = by_name_.find(name);
   if (it == by_name_.end()) return nullptr;
   return &relations_[it->second];

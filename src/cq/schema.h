@@ -5,7 +5,9 @@
 // time. Ids are stable for the lifetime of the Schema.
 #pragma once
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -33,8 +35,8 @@ class Schema {
   /// Registers a relation; fails if the name already exists or arity is 0.
   Result<int> AddRelation(std::string name, std::vector<std::string> attrs);
 
-  /// Lookup by name; nullptr if absent.
-  const RelationDef* Find(const std::string& name) const;
+  /// Lookup by name; nullptr if absent. Builds no string.
+  const RelationDef* Find(std::string_view name) const;
 
   /// Lookup by id; nullptr if out of range.
   const RelationDef* FindById(int id) const;
@@ -45,7 +47,14 @@ class Schema {
 
  private:
   std::vector<RelationDef> relations_;
-  std::unordered_map<std::string, int> by_name_;
+  // Transparent hash and equality: Find probes with a string_view.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>()(name);
+    }
+  };
+  std::unordered_map<std::string, int, NameHash, std::equal_to<>> by_name_;
 };
 
 }  // namespace fdc::cq

@@ -1,6 +1,5 @@
 #include "cq/sql_parser.h"
 
-#include <cctype>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -28,7 +27,7 @@ class Lexer {
     size_t pos = 0;
     while (pos < text_.size()) {
       char c = text_[pos];
-      if (std::isspace(static_cast<unsigned char>(c))) {
+      if (IsAsciiSpace(c)) {
         ++pos;
         continue;
       }
@@ -39,12 +38,9 @@ class Lexer {
                        std::string(text_.substr(start, pos - start)), start});
         continue;
       }
-      if (std::isdigit(static_cast<unsigned char>(c))) {
+      if (IsAsciiDigit(c)) {
         size_t start = pos;
-        while (pos < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos]))) {
-          ++pos;
-        }
+        while (pos < text_.size() && IsAsciiDigit(text_[pos])) ++pos;
         out.push_back({TokKind::kNumber,
                        std::string(text_.substr(start, pos - start)), start});
         continue;

@@ -223,6 +223,9 @@ void AppendError(std::string* out, ErrorCode code, uint32_t detail,
   PutU32(fixed, static_cast<uint32_t>(code));
   PutU32(fixed + 4, detail);
   std::string payload(reinterpret_cast<const char*>(fixed), sizeof(fixed));
+  // Clamped so the frame always decodes: a longer message is cut, never
+  // sent as an oversized payload the peer must reject.
+  message = message.substr(0, kMaxPayload - sizeof(fixed));
   if (!message.empty()) payload.append(message.data(), message.size());
   AppendFrame(out, FrameType::kError, 0, payload);
 }

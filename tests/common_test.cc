@@ -167,5 +167,27 @@ TEST(StringUtilsTest, IdentPredicates) {
   EXPECT_FALSE(IsIdentChar('-'));
 }
 
+// The parsers' character classes are the "C" locale's ASCII sets whatever
+// the process locale is: no byte 0x80-0xFF is a letter, digit or space
+// (Latin-1 locales would call 0xE9 a letter and 0xA0/0x85 spaces).
+TEST(StringUtilsTest, CharacterClassesAreAsciiOnly) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const bool alpha = (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z');
+    const bool digit = b >= '0' && b <= '9';
+    EXPECT_EQ(IsIdentStart(c), alpha || b == '_') << b;
+    EXPECT_EQ(IsIdentChar(c), alpha || digit || b == '_') << b;
+    EXPECT_EQ(IsAsciiDigit(c), digit) << b;
+    EXPECT_EQ(IsAsciiSpace(c), b == ' ' || (b >= '\t' && b <= '\r')) << b;
+    if (b >= 0x80) {
+      EXPECT_FALSE(IsIdentStart(c) || IsIdentChar(c) || IsAsciiSpace(c)) << b;
+    }
+  }
+  EXPECT_EQ(TrimView(" \t\n\v\f\rabc \t\n\v\f\r"), "abc");
+  EXPECT_EQ(TrimView("\xa0" "abc\x85"), "\xa0" "abc\x85");
+  EXPECT_EQ(ToLower("SELECT \xc9"), "select \xc9");
+  EXPECT_FALSE(EqualsIgnoreCase("\xc9", "\xe9"));
+}
+
 }  // namespace
 }  // namespace fdc

@@ -143,6 +143,27 @@ TEST(ConfigTest, MissingColonInView) {
   EXPECT_FALSE(ParseConfig("relation R(a, b)\nview v V(x) :- R(x, y)\n").ok());
 }
 
+// A view constant containing ' is written in double quotes, so the written
+// config reads back.
+TEST(ConfigTest, ApostropheConstantRoundTrips) {
+  auto config = ParseConfig(
+      "relation R(a, b)\n"
+      "view quoted: V(x) :- R(x, \"it's\")\n"
+      "view spaced: V(x) :- R(x, 'a, \"b\" c')\n"
+      "policy p {\n  partition all: quoted, spaced\n}\n");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  const std::string written = WriteConfig(**config);
+  auto reparsed = ParseConfig(written);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n"
+                             << written;
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ((*config)->catalog->view(i).pattern,
+              (*reparsed)->catalog->view(i).pattern)
+        << (*config)->catalog->view(i).name;
+  }
+  EXPECT_EQ(WriteConfig(**reparsed), written);
+}
+
 TEST(ConfigTest, FacebookScaleConfigRoundTrips) {
   // Build a config programmatically from the fb module and round-trip it.
   auto config = std::make_unique<DisclosureConfig>();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cq/printer.h"
 #include "test_util.h"
 
@@ -104,6 +106,29 @@ TEST_F(DatalogParserTest, RoundTripsThroughPrinter) {
   auto reparsed = ParseDatalog(printed, schema_);
   ASSERT_TRUE(reparsed.ok()) << printed;
   EXPECT_EQ(*q, *reparsed);
+}
+
+TEST_F(DatalogParserTest, ErrorsQuoteABoundedExcerpt) {
+  // Short texts are quoted whole.
+  auto shortq = ParseDatalog("Q(x) :- Meetings(x, y) garbage", schema_);
+  ASSERT_FALSE(shortq.ok());
+  EXPECT_EQ(shortq.status().message(),
+            "unexpected trailing input at offset 23 in "
+            "\"Q(x) :- Meetings(x, y) garbage\"");
+  // A long text is quoted as 64 bytes around the offset, marked where cut.
+  const std::string text = "Q(x) :- Meetings(x, y)" + std::string(1000, ' ') +
+                           "!" + std::string(1000, ' ');
+  auto longq = ParseDatalog(text, schema_);
+  ASSERT_FALSE(longq.ok());
+  EXPECT_EQ(longq.status().message(),
+            "unexpected trailing input at offset 1022 in \"..." +
+                text.substr(1022 - 32, 64) + "...\"");
+  // So is an unknown relation's name.
+  auto unknown = ParseDatalog("Q(x) :- " + std::string(500, 'R') + "(x)",
+                              schema_);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().message(),
+            "unknown relation '" + std::string(64, 'R') + "...'");
 }
 
 TEST_F(DatalogParserTest, TaggedBodyRendering) {

@@ -182,6 +182,19 @@ TEST(ProtocolTest, MalformedEnvelopesAreCleanErrors) {
 // Random byte soup through the decoder and every payload parser: the only
 // acceptable outcomes are kFrame/kNeedMore/kError (and parser false) —
 // never a crash or an out-of-bounds read (ASan+UBSan job enforces that).
+TEST(ProtocolTest, ErrorMessagesAreClampedToMaxPayload) {
+  std::string frame;
+  AppendError(&frame, ErrorCode::kParseError, 7,
+              std::string(2 * kMaxPayload, 'e'));
+  FrameView view;
+  const DecodeResult r = DecodeFrame(
+      reinterpret_cast<const uint8_t*>(frame.data()), frame.size(), &view);
+  ASSERT_EQ(r.status, DecodeStatus::kFrame);
+  EXPECT_EQ(r.consumed, frame.size());
+  EXPECT_EQ(view.type, FrameType::kError);
+  EXPECT_EQ(view.payload.size(), kMaxPayload);
+}
+
 TEST(ProtocolTest, FuzzedBytesNeverCrashDecoderOrParsers) {
   Rng rng(0xf022ULL);
   for (int iter = 0; iter < 3000; ++iter) {
@@ -556,6 +569,32 @@ TEST(ServerEndToEndTest, ProtocolErrorsAreScopedCorrectly) {
     BlockingClient c;
     Status s = c.Connect("127.0.0.1", fx.server.port(), "");
     EXPECT_FALSE(s.ok());  // empty principal → kBadPrincipal
+  }
+}
+
+// A malformed kSubmitText close to the 1 MiB payload cap gets a kError the
+// client can decode (the message quotes an excerpt, and AppendError clamps
+// any message to kMaxPayload), and the connection keeps answering.
+TEST(ServerEndToEndTest, HugeMalformedTextGetsDecodableError) {
+  ServerFixture fx;
+  BlockingClient c;
+  ASSERT_TRUE(c.Connect("127.0.0.1", fx.server.port(), "huge").ok());
+  const auto pool = RandomWorkload(&fx.fb.schema, 1, 1, 0x2ULL);
+  const std::string good = cq::ToDatalog(pool[0], fx.fb.schema);
+  std::string trailing = good + " ";
+  trailing.resize(kMaxPayload - 16, '!');
+  std::string unknown = "Q(x) :- ";
+  unknown.resize(kMaxPayload - 16, 'R');
+  unknown += "(x)";
+  for (const std::string& text : {trailing, unknown}) {
+    ASSERT_LE(text.size(), kMaxPayload);
+    ClientResponse resp;
+    ASSERT_TRUE(c.SubmitText(text, &resp).ok());
+    EXPECT_EQ(resp.type, FrameType::kError);
+    EXPECT_EQ(resp.error, ErrorCode::kParseError);
+    EXPECT_LT(resp.text.size(), 256u);
+    ASSERT_TRUE(c.SubmitText(good, &resp).ok());
+    EXPECT_EQ(resp.type, FrameType::kDecision);
   }
 }
 
