@@ -141,9 +141,10 @@ std::string NextPrincipal() {
 }
 
 // Reference series without sockets: the same cross-connection batch shape
-// handed straight to SubmitCoalesced. The gap between this and
-// ServerLoad/pipelined is the wire cost (decode + encode + syscalls +
-// scheduler ping-pong on a shared core).
+// handed straight to SubmitCoalesced, each request carrying its template's
+// label resolved once before the loop, as the server resolves it at
+// registration. The gap between this and ServerLoad/pipelined is the wire
+// cost (decode + encode + syscalls + scheduler ping-pong on a shared core).
 void BM_SubmitCoalescedOnly(benchmark::State& state) {
   const int conns = static_cast<int>(state.range(0));
   workload::PolicyOptions options;
@@ -155,6 +156,8 @@ void BM_SubmitCoalescedOnly(benchmark::State& state) {
   engine::DisclosureEngine engine(
       /*db=*/nullptr, FacebookEnv::Get().catalog.get(), generator.Next(), {},
       std::span(pool.data(), pool.size()));
+  std::vector<label::DisclosureLabel> labels;
+  for (int t = 0; t < kTemplates; ++t) labels.push_back(engine.Explain(pool[t]));
   std::vector<std::string> principals;
   for (int i = 0; i < conns; ++i) principals.push_back(NextPrincipal());
   Rng rng(0xe6'917eULL);
@@ -165,7 +168,8 @@ void BM_SubmitCoalescedOnly(benchmark::State& state) {
     requests.clear();
     for (int i = 0; i < conns; ++i) {
       for (int j = 0; j < kPipeline; ++j) {
-        requests.push_back({principals[i], &pool[rng.Below(kTemplates)]});
+        const size_t t = rng.Below(kTemplates);
+        requests.push_back({principals[i], &pool[t], &labels[t]});
       }
     }
     engine.SubmitCoalesced(requests, &decisions, &epochs);

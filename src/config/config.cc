@@ -31,6 +31,25 @@ Result<std::vector<std::string>> SplitIdentList(std::string_view text,
   return out;
 }
 
+// Cuts `line` at its first '#' outside a quoted constant. Quoting follows
+// the Datalog grammar (cq::ParseDatalog): a constant opens with ' or " and
+// closes at the next matching quote, with no escapes — which is also how
+// cq::ToDatalog writes constants, so WriteConfig output round-trips.
+std::string_view StripComment(std::string_view line) {
+  char quote = 0;
+  for (size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quote != 0) {
+      if (c == quote) quote = 0;
+    } else if (c == '\'' || c == '"') {
+      quote = c;
+    } else if (c == '#') {
+      return line.substr(0, i);
+    }
+  }
+  return line;
+}
+
 struct PendingPolicy {
   std::string name;
   std::vector<policy::Partition> partitions;
@@ -65,9 +84,7 @@ Result<std::unique_ptr<DisclosureConfig>> ParseConfig(std::string_view text) {
     ++line_no;
 
     // Strip comments and whitespace.
-    size_t hash = raw.find('#');
-    if (hash != std::string_view::npos) raw = raw.substr(0, hash);
-    std::string_view line = TrimView(raw);
+    std::string_view line = TrimView(StripComment(raw));
     if (line.empty()) continue;
 
     auto error = [&](const std::string& what) {

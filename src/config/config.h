@@ -19,6 +19,9 @@
 //     partition contacts_side: contacts_full
 //   }
 //
+// A '#' outside a quoted constant starts a comment that runs to the end of
+// the line; inside a constant ('a#b' or "it's #1") it is part of the value.
+//
 // Parsing validates everything through the same code paths the engine uses
 // (schema arity, view safety/single-atom shape, policy compilation), and
 // WriteConfig() round-trips.

@@ -236,7 +236,7 @@ void DisclosureEngine::SubmitCoalesced(
   // Per-thread scratch: one serving thread calls this once per event-loop
   // wake, so the gather/group vectors stay warm and allocation-free.
   struct Scratch {
-    std::vector<const cq::ConjunctiveQuery*> queries;
+    std::vector<const cq::ConjunctiveQuery*> queries;  // unlabeled requests
     std::unordered_map<std::string_view, uint32_t> group_of;
     struct Group {
       std::string_view principal;
@@ -258,21 +258,25 @@ void DisclosureEngine::SubmitCoalesced(
   }
   if (requests.empty()) return;
 
-  // One batched labeling pass over the whole wake: the batch kernel and the
-  // batch's distinct-structure dedup see the full coalesced size, not
-  // per-connection fragments.
+  // One batched labeling pass over the wake's unlabeled requests: the batch
+  // kernel and the batch's distinct-structure dedup see every one of them,
+  // not per-connection fragments. Pre-labeled requests are not relabeled.
   scratch.queries.clear();
-  scratch.queries.reserve(requests.size());
   for (const SubmitRequest& request : requests) {
-    scratch.queries.push_back(request.query);
+    if (request.label == nullptr) scratch.queries.push_back(request.query);
   }
-  const std::vector<label::DisclosureLabel> labels = labeler_.LabelBatch(
-      std::span<const cq::ConjunctiveQuery* const>(scratch.queries));
+  std::vector<label::DisclosureLabel> labels;
+  if (!scratch.queries.empty()) {
+    labels = labeler_.LabelBatch(
+        std::span<const cq::ConjunctiveQuery* const>(scratch.queries));
+  }
 
   // Group request indices by principal, preserving arrival order within
-  // each group (the only order monitor decisions depend on).
+  // each group (the only order monitor decisions depend on). The k-th
+  // unlabeled request, in arrival order, takes labels[k].
   scratch.group_of.clear();
   scratch.groups_used = 0;
+  size_t next_label = 0;
   for (uint32_t i = 0; i < requests.size(); ++i) {
     auto [it, inserted] = scratch.group_of.try_emplace(
         requests[i].principal, static_cast<uint32_t>(scratch.groups_used));
@@ -287,7 +291,9 @@ void DisclosureEngine::SubmitCoalesced(
     }
     Scratch::Group& group = scratch.groups[it->second];
     group.indices.push_back(i);
-    group.labels.push_back(&labels[i]);
+    group.labels.push_back(requests[i].label != nullptr
+                               ? requests[i].label
+                               : &labels[next_label++]);
   }
 
   if (scratch.decided_size < requests.size()) {
@@ -338,7 +344,11 @@ Result<std::vector<storage::Tuple>> DisclosureEngine::QuerySql(
 
 policy::Explanation DisclosureEngine::ExplainQuery(
     const std::string& principal, const cq::ConjunctiveQuery& query) {
-  const label::DisclosureLabel label = labeler_.Label(query);
+  return ExplainQuery(principal, labeler_.Label(query));
+}
+
+policy::Explanation DisclosureEngine::ExplainQuery(
+    const std::string& principal, const label::DisclosureLabel& label) {
   epoch::Guard pin;
   for (;;) {
     const EngineSnapshot* snap = LoadSnapshot();

@@ -168,13 +168,22 @@ class DisclosureEngine {
   struct SubmitRequest {
     std::string_view principal;
     const cq::ConjunctiveQuery* query = nullptr;
+    /// Optional pre-resolved label. When set, it must be the label of
+    /// `*query` on this engine's catalog (what Explain(*query) returns) and
+    /// must outlive the call; SubmitCoalesced then decides on it without
+    /// relabeling. Labels depend only on the query and the catalog, which
+    /// never changes, so a label resolved once (the server does it at
+    /// template registration) stays valid across policy swaps. Null: the
+    /// request is labeled in the call's batched pass.
+    const label::DisclosureLabel* label = nullptr;
   };
 
-  /// Coalesced decisions across principals: everything a server drained
-  /// from one event-loop wake goes through a single batched labeling pass
-  /// (the batch kernel labels each distinct structure once, at the wire
-  /// path's natural batch size), then one decide step per distinct
-  /// principal group (arrival order preserved within each principal).
+  /// Coalesced decisions across principals: every request of one
+  /// event-loop wake that carries no label goes through a single batched
+  /// labeling pass (the batch kernel labels each distinct structure once,
+  /// at the wire path's natural batch size; pre-labeled requests skip it),
+  /// then one decide step per distinct principal group (arrival order
+  /// preserved within each principal).
   /// Decision-identical to calling Submit per request in order: principals'
   /// monitor states are independent, so only the per-principal order
   /// matters.
@@ -199,9 +208,14 @@ class DisclosureEngine {
 
   /// Per-partition diagnosis of the decision the monitor *would* make for
   /// `principal` right now, against one consistent snapshot; mutates no
-  /// monitor state.
+  /// monitor state. Labels `query`, then forwards to the label overload.
   policy::Explanation ExplainQuery(const std::string& principal,
                                    const cq::ConjunctiveQuery& query);
+
+  /// The same diagnosis from an already-resolved label (the label of some
+  /// query on this engine's catalog, e.g. a SubmitRequest::label).
+  policy::Explanation ExplainQuery(const std::string& principal,
+                                   const label::DisclosureLabel& label);
 
   /// Remaining consistent partitions under the current epoch (all
   /// partitions if the principal has not submitted since it began).

@@ -42,6 +42,15 @@ int64_t NowMs() {
       .count();
 }
 
+/// One registered template: its canonical form and the label resolved for
+/// it at registration. A label depends only on the query and the engine's
+/// catalog, which never changes, so every kSubmit of the template decides
+/// on this one label.
+struct Template {
+  cq::ConjunctiveQuery query;
+  label::DisclosureLabel label;
+};
+
 struct Connection {
   int fd = -1;
   bool got_hello = false;
@@ -57,7 +66,7 @@ struct Connection {
   // Registered templates, dense by client-chosen id. unique_ptr for
   // pointer stability: pending submit requests hold raw pointers into
   // this table across the wake.
-  std::vector<std::unique_ptr<cq::ConjunctiveQuery>> templates;
+  std::vector<std::unique_ptr<Template>> templates;
   ByteQueue in;
   ByteQueue out;
 };
@@ -153,6 +162,7 @@ struct DisclosureServer::Worker {
   };
   std::vector<PendingOp> ops;
   std::vector<engine::DisclosureEngine::SubmitRequest> requests;
+  size_t prelabeled = 0;  // requests carrying a template's label
   std::deque<cq::ConjunctiveQuery> text_queries;  // kSubmitText bodies
   std::vector<Connection*> touched;
   std::vector<bool> decisions;
@@ -166,6 +176,7 @@ struct DisclosureServer::Worker {
   std::atomic<uint64_t> c_protocol_errors{0};
   std::atomic<uint64_t> c_frames{0};
   std::atomic<uint64_t> c_decisions{0};
+  std::atomic<uint64_t> c_prelabeled{0};
   std::atomic<uint64_t> c_batches{0};
   std::atomic<uint64_t> c_max_batch{0};
   std::atomic<uint64_t> c_backpressure{0};
@@ -578,12 +589,13 @@ struct DisclosureServer::Worker {
           return;  // non-fatal: the ack slot carries the error instead
         }
         if (id >= c->templates.size()) c->templates.resize(id + 1);
-        // Canonicalize once at registration: the frozen label tier's
-        // level-1 (raw-form) table indexes canonical forms, so every
-        // subsequent submit of this template resolves with one structural
-        // hash instead of a per-request canonicalization pass.
-        c->templates[id] = std::make_unique<cq::ConjunctiveQuery>(
-            cq::Canonicalize(std::move(parsed).value()));
+        // Canonicalize and label once at registration: every subsequent
+        // submit of this template carries the label into SubmitCoalesced
+        // and is decided without touching the labeler.
+        auto slot = std::make_unique<Template>();
+        slot->query = cq::Canonicalize(std::move(parsed).value());
+        slot->label = engine->Explain(slot->query);
+        c->templates[id] = std::move(slot);
         std::string ack;
         AppendTemplateAck(&ack, id);
         Respond(c, std::move(ack));
@@ -601,7 +613,8 @@ struct DisclosureServer::Worker {
                     "submit for an unregistered template");
           return;
         }
-        EnqueueSubmit(c, c->templates[id].get(), f.flags);
+        const Template& t = *c->templates[id];
+        EnqueueSubmit(c, &t.query, &t.label, f.flags);
         return;
       }
       case FrameType::kSubmitText: {
@@ -614,7 +627,7 @@ struct DisclosureServer::Worker {
           return;  // non-fatal: kError in place of the decision
         }
         text_queries.push_back(std::move(parsed).value());
-        EnqueueSubmit(c, &text_queries.back(), f.flags);
+        EnqueueSubmit(c, &text_queries.back(), nullptr, f.flags);
         return;
       }
       case FrameType::kStatsRequest: {
@@ -648,9 +661,12 @@ struct DisclosureServer::Worker {
     }
   }
 
+  /// `label` is the template's registration-time label, or null for a
+  /// kSubmitText body (labeled in the coalesced pass).
   void EnqueueSubmit(Connection* c, const cq::ConjunctiveQuery* query,
-                     uint8_t flags) {
-    requests.push_back({c->principal, query});
+                     const label::DisclosureLabel* label, uint8_t flags) {
+    requests.push_back({c->principal, query, label});
+    if (label != nullptr) ++prelabeled;
     PendingOp op;
     op.conn = c;
     op.submit_index = static_cast<int64_t>(requests.size()) - 1;
@@ -708,6 +724,7 @@ struct DisclosureServer::Worker {
       engine->SubmitCoalesced(requests, &decisions, &epochs);
       Bump(c_batches);
       Bump(c_decisions, requests.size());
+      Bump(c_prelabeled, prelabeled);
       if (requests.size() > c_max_batch.load(std::memory_order_relaxed)) {
         c_max_batch.store(requests.size(), std::memory_order_relaxed);
       }
@@ -717,8 +734,12 @@ struct DisclosureServer::Worker {
       if (op.submit_index >= 0) {
         const size_t i = static_cast<size_t>(op.submit_index);
         if ((op.flags & kFlagExplain) != 0) {
+          // A template's explanation comes from its registration label;
+          // a kSubmitText body is labeled again (an overlay hit by now).
+          const engine::DisclosureEngine::SubmitRequest& r = requests[i];
           policy::Explanation ex =
-              engine->ExplainQuery(c->principal, *requests[i].query);
+              r.label != nullptr ? engine->ExplainQuery(c->principal, *r.label)
+                                 : engine->ExplainQuery(c->principal, *r.query);
           AppendDecision(c->out.tail(), decisions[i], epochs[i],
                          ex.ToString());
         } else {
@@ -735,6 +756,7 @@ struct DisclosureServer::Worker {
     }
     ops.clear();
     requests.clear();
+    prelabeled = 0;
     text_queries.clear();
   }
 
@@ -963,6 +985,7 @@ DisclosureServer::Stats DisclosureServer::stats() const {
         w->c_protocol_errors.load(std::memory_order_relaxed);
     s.frames_received += w->c_frames.load(std::memory_order_relaxed);
     s.decisions += w->c_decisions.load(std::memory_order_relaxed);
+    s.prelabeled_decisions += w->c_prelabeled.load(std::memory_order_relaxed);
     s.coalesced_batches += w->c_batches.load(std::memory_order_relaxed);
     const uint64_t mb = w->c_max_batch.load(std::memory_order_relaxed);
     if (mb > s.max_coalesced_batch) s.max_coalesced_batch = mb;
@@ -1001,6 +1024,7 @@ std::string DisclosureServer::StatsJsonFragment() const {
   field("protocol_errors", s.protocol_errors);
   field("frames_received", s.frames_received);
   field("decisions", s.decisions);
+  field("prelabeled_decisions", s.prelabeled_decisions);
   field("coalesced_batches", s.coalesced_batches);
   field("max_coalesced_batch", s.max_coalesced_batch);
   field("backpressure_pauses", s.backpressure_pauses);

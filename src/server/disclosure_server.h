@@ -9,8 +9,11 @@
 // through a single DisclosureEngine::SubmitCoalesced pass, so the batched
 // labeling kernel (batch mask evaluation, distinct-structure dedup) runs
 // at the wire path's natural batch size instead of degrading to
-// per-request Submit calls. Responses are staged per connection in
-// request order and flushed once per wake.
+// per-request Submit calls. A registered template is canonicalized and
+// labeled once, at kRegisterTemplate; its kSubmits carry that label into
+// the pass and skip labeling altogether, so only kSubmitText bodies reach
+// the batch kernel. Responses are staged per connection in request order
+// and flushed once per wake.
 //
 // Flow control: each connection owns bounded read/write byte queues. When
 // a connection's response queue exceeds ServerOptions::write_queue_limit
@@ -106,6 +109,10 @@ class DisclosureServer {
     uint64_t protocol_errors = 0;       // fatal + non-fatal kError frames
     uint64_t frames_received = 0;
     uint64_t decisions = 0;             // submits answered
+    // Of those, kSubmit decisions made on the template's registration-time
+    // label (no labeler call); decisions - prelabeled_decisions went
+    // through the engine's batched labeling pass.
+    uint64_t prelabeled_decisions = 0;
     uint64_t coalesced_batches = 0;     // SubmitCoalesced calls
     uint64_t max_coalesced_batch = 0;   // largest single batch
     uint64_t backpressure_pauses = 0;   // EPOLLIN drops

@@ -25,9 +25,9 @@
 //   │                      │     │ kMaxPrincipalLen bytes). Must be the  │
 //   │                      │     │ connection's first frame.             │
 //   │ kHelloAck (2)        │ s→c │ u64 epoch; u32 max_payload; u32 rsvd. │
-//   │ kRegisterTemplate(3) │ c→s │ u32 template_id; Datalog text. Interns│
-//   │                      │     │ the parsed query under the (per-      │
-//   │                      │     │ connection) id for later kSubmit.     │
+//   │ kRegisterTemplate(3) │ c→s │ u32 template_id; Datalog text. Stores │
+//   │                      │     │ the parsed query and its label under  │
+//   │                      │     │ the (per-connection) id for kSubmit.  │
 //   │ kTemplateAck (4)     │ s→c │ u32 template_id.                      │
 //   │ kSubmit (5)          │ c→s │ u32 template_id. flags bit0           │
 //   │                      │     │ (kFlagExplain): append a diagnosis to │

@@ -164,6 +164,40 @@ TEST(ConfigTest, ApostropheConstantRoundTrips) {
   EXPECT_EQ(WriteConfig(**reparsed), written);
 }
 
+// '#' starts a comment only outside a quoted constant, under the Datalog
+// grammar's quoting (no escapes: 'a\' is the value a\ and closes there).
+TEST(ConfigTest, HashInsideConstantIsNotAComment) {
+  auto config = ParseConfig(
+      "relation R(a, b)  # trailing comment\n"
+      "view hashed: V(x) :- R(x, 'a#b')  # it's a comment\n"
+      "view dq: V(x) :- R(x, \"it's #1\") # comment 'with quotes'\n"
+      "view slash: V(x) :- R(x, 'a\\') # comment\n"
+      "policy p {  # comment\n  partition all: hashed, dq, slash # x\n}\n");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  const label::ViewCatalog& catalog = *(*config)->catalog;
+  ASSERT_EQ(catalog.views().size(), 3u);
+  EXPECT_EQ(catalog.view(0).pattern.terms[1].value, "a#b");
+  EXPECT_EQ(catalog.view(1).pattern.terms[1].value, "it's #1");
+  EXPECT_EQ(catalog.view(2).pattern.terms[1].value, "a\\");
+
+  const std::string written = WriteConfig(**config);
+  auto reparsed = ParseConfig(written);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n"
+                             << written;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(catalog.view(i).pattern, (*reparsed)->catalog->view(i).pattern)
+        << catalog.view(i).name;
+  }
+  EXPECT_EQ(WriteConfig(**reparsed), written);
+
+  // A comment after the constant is still stripped: its own quote never
+  // opens a constant, so the line parses.
+  auto trailing = ParseConfig(
+      "relation R(a, b)\nview v: V(x) :- R(x, 'a#b') # don't parse 'me\n");
+  ASSERT_TRUE(trailing.ok()) << trailing.status().ToString();
+  EXPECT_EQ((*trailing)->catalog->view(0).pattern.terms[1].value, "a#b");
+}
+
 TEST(ConfigTest, FacebookScaleConfigRoundTrips) {
   // Build a config programmatically from the fb module and round-trip it.
   auto config = std::make_unique<DisclosureConfig>();

@@ -12,7 +12,8 @@
 //      carried in each response across a mid-stream UpdatePolicy.
 //   3. Engine coalescing: DisclosureEngine::SubmitCoalesced (the server's
 //      entry point) matches per-request Submit exactly for interleaved
-//      multi-principal batches.
+//      multi-principal batches, including batches that mix pre-labeled
+//      requests (template submits) with unlabeled ones.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -655,6 +656,216 @@ TEST(ServerEndToEndTest, MultiWorkerServesManyConnections) {
   EXPECT_EQ(stats.decisions, 16u * kClients);
 }
 
+// --- pre-labeled templates ------------------------------------------------
+
+// The labeler counters that move whenever a query reaches a label tier.
+struct TierCounts {
+  uint64_t frozen_hits, overlay_hits, overlay_misses, stateless_fallbacks;
+  explicit TierCounts(const engine::ConcurrentLabeler::Stats& s)
+      : frozen_hits(s.frozen_hits),
+        overlay_hits(s.overlay_hits),
+        overlay_misses(s.overlay_misses),
+        stateless_fallbacks(s.stateless_fallbacks) {}
+  uint64_t total() const {
+    return frozen_hits + overlay_hits + overlay_misses + stateless_fallbacks;
+  }
+};
+
+// A template is labeled once, at registration: its kSubmits (pipelined,
+// call/response, with and without kFlagExplain) reach no label tier, and
+// each raises prelabeled_decisions by one. A kSubmitText of the same text
+// still goes through the labeler and is not counted.
+TEST(ServerEndToEndTest, TemplateSubmitsReuseTheRegistrationLabel) {
+  ServerFixture fx;
+  const auto pool = RandomWorkload(&fx.fb.schema, 2, 24, 0x9a6eULL);
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", fx.server.port(), "prelabeled").ok());
+  for (size_t t = 0; t < pool.size(); ++t) {
+    ASSERT_TRUE(client
+                    .RegisterTemplate(static_cast<uint32_t>(t),
+                                      cq::ToDatalog(pool[t], fx.fb.schema))
+                    .ok());
+  }
+  const TierCounts before(fx.engine.Stats().labeler);
+  const DisclosureServer::Stats server_before = fx.server.stats();
+  // Registration resolved every template's label through some tier.
+  EXPECT_GE(before.total(), pool.size());
+
+  Rng rng(0x1abe1ULL);
+  constexpr int kPipelined = 200;
+  for (int i = 0; i < kPipelined; ++i) {
+    client.QueueSubmit(static_cast<uint32_t>(rng.Below(pool.size())),
+                       /*explain=*/i % 7 == 0);
+  }
+  ASSERT_TRUE(client.Flush().ok());
+  for (int i = 0; i < kPipelined; ++i) {
+    ClientResponse resp;
+    ASSERT_TRUE(client.ReadResponse(&resp).ok());
+    ASSERT_EQ(resp.type, FrameType::kDecision);
+    EXPECT_EQ(resp.text.empty(), i % 7 != 0) << "response " << i;
+  }
+  constexpr int kCalls = 20;
+  for (int i = 0; i < kCalls; ++i) {
+    ClientResponse resp;
+    ASSERT_TRUE(client
+                    .Submit(static_cast<uint32_t>(rng.Below(pool.size())),
+                            &resp, /*explain=*/i % 2 == 0)
+                    .ok());
+    ASSERT_EQ(resp.type, FrameType::kDecision);
+  }
+  constexpr uint64_t kN = kPipelined + kCalls;
+
+  const TierCounts after(fx.engine.Stats().labeler);
+  EXPECT_EQ(after.frozen_hits, before.frozen_hits);
+  EXPECT_EQ(after.overlay_hits, before.overlay_hits);
+  EXPECT_EQ(after.overlay_misses, before.overlay_misses);
+  EXPECT_EQ(after.stateless_fallbacks, before.stateless_fallbacks);
+  const DisclosureServer::Stats server_after = fx.server.stats();
+  EXPECT_EQ(server_after.prelabeled_decisions -
+                server_before.prelabeled_decisions,
+            kN);
+  EXPECT_EQ(server_after.decisions - server_before.decisions, kN);
+
+  ClientResponse resp;
+  ASSERT_TRUE(
+      client.SubmitText(cq::ToDatalog(pool[0], fx.fb.schema), &resp).ok());
+  ASSERT_EQ(resp.type, FrameType::kDecision);
+  EXPECT_EQ(TierCounts(fx.engine.Stats().labeler).total(), after.total() + 1);
+  EXPECT_EQ(fx.server.stats().prelabeled_decisions,
+            server_after.prelabeled_decisions);
+
+  std::string json;
+  ASSERT_TRUE(client.StatsJson(&json).ok());
+  EXPECT_TRUE(JsonValidator(json).Validate()) << json;
+  EXPECT_NE(json.find("\"prelabeled_decisions\":" + std::to_string(kN)),
+            std::string::npos)
+      << json;
+}
+
+// Submit-by-id over the wire is bit-identical to direct Submit(query) on a
+// twin engine — decisions, epochs, explanations and shadow divergence
+// counts — across a mid-stream UpdatePolicy and a staged shadow policy,
+// with half the templates in the frozen tier and half labeled into the
+// overlay at registration, and with every round's frames from all
+// connections (kSubmit and kSubmitText mixed) in flight at once so that
+// coalesced wakes interleave pre-labeled and unlabeled requests.
+TEST(ServerEndToEndTest, PrelabeledSubmitsMatchTwinEngine) {
+  FbFixture fb;
+  const auto pool = RandomWorkload(&fb.schema, 2, 48, 0x7e11ULL);
+  const std::span<const cq::ConjunctiveQuery> warm(pool.data(),
+                                                   pool.size() / 2);
+  workload::PolicyOptions popts;
+  popts.max_partitions = 5;
+  popts.max_elements_per_partition = 15;
+  const policy::SecurityPolicy policy_a =
+      workload::PolicyGenerator(&fb.catalog, popts, 21).Next();
+  const policy::SecurityPolicy policy_b =
+      workload::PolicyGenerator(&fb.catalog, popts, 22).Next();
+  const policy::SecurityPolicy candidate =
+      workload::PolicyGenerator(&fb.catalog, popts, 23).Next();
+  engine::DisclosureEngine served(/*db=*/nullptr, &fb.catalog, policy_a, {},
+                                  warm);
+  engine::DisclosureEngine twin(/*db=*/nullptr, &fb.catalog, policy_a, {},
+                                warm);
+  DisclosureServer server(&served, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kClients = 4;
+  std::vector<BlockingClient> clients(kClients);
+  std::vector<std::string> texts;
+  for (const auto& q : pool) texts.push_back(cq::ToDatalog(q, fb.schema));
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(clients[c]
+                    .Connect("127.0.0.1", server.port(),
+                             "twin-" + std::to_string(c))
+                    .ok());
+    for (size_t t = 0; t < pool.size(); ++t) {
+      ASSERT_TRUE(
+          clients[c].RegisterTemplate(static_cast<uint32_t>(t), texts[t]).ok());
+    }
+  }
+  // Both tiers served the registrations: the warm half from the frozen
+  // tier, the rest labeled into the overlay.
+  const TierCounts registered(served.Stats().labeler);
+  EXPECT_GT(registered.frozen_hits, 0u);
+  EXPECT_GT(registered.overlay_misses, 0u);
+
+  struct Sent {
+    size_t query;
+    bool text;
+    bool explain;
+  };
+  constexpr int kRounds = 8;
+  constexpr int kPerRound = 24;
+  Rng rng(0x7a1eULL);
+  uint64_t template_submits = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    if (round == 3) {
+      served.UpdatePolicy(policy_b);
+      twin.UpdatePolicy(policy_b);
+    }
+    if (round == 5) {
+      served.SetShadowPolicy(candidate, "candidate");
+      twin.SetShadowPolicy(candidate, "candidate");
+    }
+    std::vector<std::vector<Sent>> sent(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      for (int i = 0; i < kPerRound; ++i) {
+        // Only a connection's last frame of the round asks for a
+        // diagnosis: the server explains after the whole wake is decided,
+        // so an earlier one could see later decisions' narrowing.
+        const bool last = i + 1 == kPerRound;
+        Sent s{rng.Below(pool.size()),
+               last ? (round + c) % 2 == 1 : rng.Below(3) == 0, last};
+        if (s.text) {
+          clients[c].QueueSubmitText(texts[s.query], s.explain);
+        } else {
+          clients[c].QueueSubmit(static_cast<uint32_t>(s.query), s.explain);
+          ++template_submits;
+        }
+        sent[c].push_back(s);
+      }
+    }
+    for (int c = 0; c < kClients; ++c) ASSERT_TRUE(clients[c].Flush().ok());
+    for (int c = 0; c < kClients; ++c) {
+      const std::string principal = "twin-" + std::to_string(c);
+      for (size_t i = 0; i < sent[c].size(); ++i) {
+        const Sent& s = sent[c][i];
+        ClientResponse resp;
+        ASSERT_TRUE(clients[c].ReadResponse(&resp).ok());
+        ASSERT_EQ(resp.type, FrameType::kDecision);
+        const uint64_t epoch = twin.Snapshot()->epoch();
+        EXPECT_EQ(resp.allow, twin.Submit(principal, pool[s.query]))
+            << "round " << round << " client " << c << " frame " << i;
+        EXPECT_EQ(resp.epoch, epoch)
+            << "round " << round << " client " << c << " frame " << i;
+        if (s.explain) {
+          EXPECT_EQ(resp.text,
+                    twin.ExplainQuery(principal, pool[s.query]).ToString())
+              << "round " << round << " client " << c;
+        }
+      }
+    }
+  }
+
+  const auto got = served.Stats();
+  const auto want = twin.Stats();
+  EXPECT_EQ(got.accepted, want.accepted);
+  EXPECT_EQ(got.refused, want.refused);
+  EXPECT_GT(got.accepted, 0u);
+  EXPECT_GT(got.refused, 0u);
+  EXPECT_EQ(got.shadow.evaluated, want.shadow.evaluated);
+  EXPECT_EQ(got.shadow.agree, want.shadow.agree);
+  EXPECT_EQ(got.shadow.shadow_stricter, want.shadow.shadow_stricter);
+  EXPECT_EQ(got.shadow.shadow_looser, want.shadow.shadow_looser);
+  EXPECT_GT(got.shadow.evaluated, 0u);
+  const DisclosureServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.decisions, uint64_t{kRounds} * kPerRound * kClients);
+  EXPECT_EQ(stats.prelabeled_decisions, template_submits);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  server.Stop();
+}
+
 // --- engine-level coalescing oracle --------------------------------------
 
 TEST(SubmitCoalescedTest, MatchesSequentialSubmitExactly) {
@@ -703,6 +914,76 @@ TEST(SubmitCoalescedTest, MatchesSequentialSubmitExactly) {
     EXPECT_EQ(a.accepted, b.accepted);
     EXPECT_EQ(a.refused, b.refused);
     EXPECT_EQ(a.submitted, b.submitted);
+  }
+}
+
+// Requests that carry their label and requests that do not, interleaved
+// in one SubmitCoalesced call: the k-th unlabeled request must receive the
+// k-th label of the batched pass, so decisions and epochs match sequential
+// Submit exactly. An all-labeled call reaches no label tier.
+TEST(SubmitCoalescedTest, PrelabeledAndUnlabeledRequestsInterleave) {
+  FbFixture fb;
+  workload::PolicyOptions popts;
+  popts.max_partitions = 5;
+  popts.max_elements_per_partition = 15;
+  const policy::SecurityPolicy policy_a =
+      workload::PolicyGenerator(&fb.catalog, popts, 0x31).Next();
+  const policy::SecurityPolicy policy_b =
+      workload::PolicyGenerator(&fb.catalog, popts, 0x32).Next();
+  engine::DisclosureEngine coalesced(/*db=*/nullptr, &fb.catalog, policy_a);
+  engine::DisclosureEngine sequential(/*db=*/nullptr, &fb.catalog, policy_a);
+
+  const auto pool = RandomWorkload(&fb.schema, 2, 64, 0x1abe1ULL);
+  std::vector<label::DisclosureLabel> labels;
+  for (const auto& q : pool) labels.push_back(coalesced.Explain(q));
+  std::vector<std::string> principals;
+  for (int p = 0; p < 5; ++p) principals.push_back("p" + std::to_string(p));
+
+  Rng rng(0xc0a1ULL);
+  for (int round = 0; round < 40; ++round) {
+    if (round == 20) {
+      coalesced.UpdatePolicy(policy_b);
+      sequential.UpdatePolicy(policy_b);
+    }
+    // Every fourth call is all pre-labeled; the rest mix at random.
+    const bool all_labeled = round % 4 == 0;
+    const int batch = 1 + static_cast<int>(rng.Below(48));
+    std::vector<engine::DisclosureEngine::SubmitRequest> requests;
+    for (int i = 0; i < batch; ++i) {
+      const size_t q = rng.Below(pool.size());
+      const bool labeled = all_labeled || rng.Below(2) == 0;
+      requests.push_back({principals[rng.Below(principals.size())], &pool[q],
+                          labeled ? &labels[q] : nullptr});
+    }
+    const TierCounts before(coalesced.Stats().labeler);
+    std::vector<bool> decisions;
+    std::vector<uint64_t> epochs;
+    coalesced.SubmitCoalesced(requests, &decisions, &epochs);
+    if (all_labeled) {
+      EXPECT_EQ(TierCounts(coalesced.Stats().labeler).total(), before.total());
+    }
+    ASSERT_EQ(decisions.size(), requests.size());
+    for (int i = 0; i < batch; ++i) {
+      const std::string principal(requests[i].principal);
+      ASSERT_EQ(decisions[i], sequential.Submit(principal, *requests[i].query))
+          << "round " << round << " offset " << i;
+      EXPECT_EQ(epochs[i], sequential.Snapshot()->epoch());
+    }
+  }
+  const auto a = coalesced.Stats();
+  const auto b = sequential.Stats();
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.refused, b.refused);
+  EXPECT_GT(a.accepted, 0u);
+  EXPECT_GT(a.refused, 0u);
+
+  // The label overload of ExplainQuery gives the query overload's output.
+  for (const std::string& principal : principals) {
+    for (size_t q = 0; q < pool.size(); q += 7) {
+      EXPECT_EQ(coalesced.ExplainQuery(principal, labels[q]).ToString(),
+                coalesced.ExplainQuery(principal, pool[q]).ToString())
+          << principal << " query " << q;
+    }
   }
 }
 

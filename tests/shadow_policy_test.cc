@@ -2,20 +2,27 @@
 // candidate must be decision-invisible — an engine with a shadow policy
 // returns bit-identical decisions to one without, on the same stream —
 // while its divergence counters match an oracle engine that runs the
-// candidate as its *live* policy over the same per-principal streams.
+// candidate as its *live* policy over the same per-principal streams. The
+// same holds when decisions arrive as template submits over the wire,
+// decided on labels resolved at registration.
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "artifact/policy_blob.h"
+#include "common/rng.h"
+#include "cq/printer.h"
 #include "engine/disclosure_engine.h"
 #include "engine/stats_json.h"
 #include "label/pipeline.h"
 #include "policy/policy.h"
 #include "policy/reference_monitor.h"
+#include "server/client.h"
+#include "server/disclosure_server.h"
 #include "test_util.h"
 #include "workload/policy_generator.h"
 
@@ -273,6 +280,92 @@ TEST(ShadowPolicyTest, ShadowAgainstItselfAlwaysAgrees) {
   EXPECT_EQ(stats.shadow.agree, pool.size());
   EXPECT_EQ(stats.shadow.shadow_stricter, 0u);
   EXPECT_EQ(stats.shadow.shadow_looser, 0u);
+}
+
+// Submit-by-id over the wire decides on each template's registration-time
+// label; with a shadow policy staged (then replaced, then joined by a live
+// UpdatePolicy) the decisions, epochs and shadow agree / stricter / looser
+// counts must equal a twin engine that relabels every query in Submit.
+TEST(ShadowPolicyTest, TemplateSubmitsMatchTwinEngineUnderShadow) {
+  FbFixture fb;
+  const policy::SecurityPolicy live = GeneratePolicy(&fb.catalog, 5);
+  const policy::SecurityPolicy live_b = GeneratePolicy(&fb.catalog, 6);
+  const policy::SecurityPolicy candidate = GeneratePolicy(&fb.catalog, 1234);
+  const policy::SecurityPolicy candidate_b = GeneratePolicy(&fb.catalog, 77);
+  const auto pool = RandomWorkload(&fb.schema, 2, 40, 0x5d1dULL);
+  // A quarter of the pool is frozen; the rest is labeled into the overlay
+  // when the first connection registers it.
+  const std::span<const cq::ConjunctiveQuery> warm(pool.data(),
+                                                   pool.size() / 4);
+  engine::DisclosureEngine served(/*db=*/nullptr, &fb.catalog, live, {}, warm);
+  engine::DisclosureEngine twin(/*db=*/nullptr, &fb.catalog, live, {}, warm);
+  served.SetShadowPolicy(candidate, "candidate");
+  twin.SetShadowPolicy(candidate, "candidate");
+  server::DisclosureServer srv(&served, server::ServerOptions{});
+  ASSERT_TRUE(srv.Start().ok());
+
+  constexpr int kClients = 3;
+  std::vector<server::BlockingClient> clients(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(clients[c]
+                    .Connect("127.0.0.1", srv.port(),
+                             "shadow-" + std::to_string(c))
+                    .ok());
+    for (size_t t = 0; t < pool.size(); ++t) {
+      ASSERT_TRUE(clients[c]
+                      .RegisterTemplate(static_cast<uint32_t>(t),
+                                        cq::ToDatalog(pool[t], fb.schema))
+                      .ok());
+    }
+  }
+
+  Rng rng(0x5bad0ULL);
+  constexpr int kRounds = 6;
+  constexpr int kPerRound = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    if (round == 2) {
+      served.SetShadowPolicy(candidate_b, "candidate-b");
+      twin.SetShadowPolicy(candidate_b, "candidate-b");
+    }
+    if (round == 4) {
+      served.UpdatePolicy(live_b);
+      twin.UpdatePolicy(live_b);
+    }
+    std::vector<std::vector<size_t>> sent(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      for (int i = 0; i < kPerRound; ++i) {
+        sent[c].push_back(rng.Below(pool.size()));
+        clients[c].QueueSubmit(static_cast<uint32_t>(sent[c].back()));
+      }
+      ASSERT_TRUE(clients[c].Flush().ok());
+    }
+    for (int c = 0; c < kClients; ++c) {
+      const std::string principal = "shadow-" + std::to_string(c);
+      for (size_t i = 0; i < sent[c].size(); ++i) {
+        server::ClientResponse resp;
+        ASSERT_TRUE(clients[c].ReadResponse(&resp).ok());
+        ASSERT_EQ(resp.type, server::FrameType::kDecision);
+        const uint64_t epoch = twin.Snapshot()->epoch();
+        EXPECT_EQ(resp.allow, twin.Submit(principal, pool[sent[c][i]]))
+            << "round " << round << " client " << c << " frame " << i;
+        EXPECT_EQ(resp.epoch, epoch);
+      }
+    }
+  }
+
+  const auto got = served.Stats();
+  const auto want = twin.Stats();
+  EXPECT_EQ(got.accepted, want.accepted);
+  EXPECT_EQ(got.refused, want.refused);
+  EXPECT_EQ(got.shadow.policy_name, "candidate-b");
+  EXPECT_EQ(got.shadow.evaluated, uint64_t{kRounds} * kPerRound * kClients);
+  EXPECT_EQ(got.shadow.evaluated, want.shadow.evaluated);
+  EXPECT_EQ(got.shadow.agree, want.shadow.agree);
+  EXPECT_EQ(got.shadow.shadow_stricter, want.shadow.shadow_stricter);
+  EXPECT_EQ(got.shadow.shadow_looser, want.shadow.shadow_looser);
+  EXPECT_GT(got.shadow.shadow_stricter + got.shadow.shadow_looser, 0u);
+  EXPECT_EQ(srv.stats().prelabeled_decisions, got.shadow.evaluated);
+  srv.Stop();
 }
 
 }  // namespace
